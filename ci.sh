@@ -10,6 +10,11 @@ go build ./...
 go vet ./...
 go run ./cmd/pmemvet ./...
 go test ./...
+# The benchmark lives in its own module (perfbench/go.mod replaces repro with
+# the root), so the root `go test ./...` does not enter it: vet and test it
+# here, or a session-API change that breaks the benchmark passes the gate.
+go -C perfbench vet ./...
+go -C perfbench test ./...
 go test -race ./internal/core/... ./internal/ptm/... ./internal/psim/... ./internal/handmade/...
 # Bounded race smokes for the sharded DB (batch coordinator + per-shard
 # engines) and the observability layer (tracer ring, histograms); the full

@@ -19,8 +19,8 @@ import (
 
 const detectAckEvery = 64
 
-// DetectEntries measures fillrandom with plain Put vs PutDetectable on an
-// unsharded RedoDB.
+// DetectEntries measures fillrandom with plain Put vs detectable one-put
+// batches (WriteOptions.Client set) on an unsharded RedoDB.
 func DetectEntries(cfg DBConfig, threads int) []BenchEntry {
 	var out []BenchEntry
 	for _, path := range []string{"plain", "detect"} {
@@ -45,6 +45,13 @@ func detectCell(cfg DBConfig, path string, threads int) BenchEntry {
 	}
 	rngs := makeRNGs(threads)
 	seqs := make([]uint64, threads*8) // padded: one cache line apart
+	batches := make([]redodb.WriteBatch, threads)
+	putDetectable := func(tid int, seq uint64, key []byte) {
+		b := &batches[tid]
+		b.Clear()
+		b.Put(key, dbValue)
+		sessions[tid].Apply(b, redodb.WriteOptions{Client: uint64(tid + 1), Seq: seq})
+	}
 	// Warm to steady state before measuring: every key present (so the
 	// measured window sees overwrites, not bucket growth) and each client
 	// past its receipt-ring growth and first ack cycles — otherwise the
@@ -59,7 +66,7 @@ func detectCell(cfg DBConfig, path string, threads int) BenchEntry {
 			for k := 0; k < 2*detectAckEvery; k++ {
 				seqs[tid*8]++
 				seq := seqs[tid*8]
-				sessions[tid].PutDetectable(client, seq, keys[uint64(k)%uint64(len(keys))], dbValue)
+				putDetectable(tid, seq, keys[uint64(k)%uint64(len(keys))])
 				if seq%detectAckEvery == 0 {
 					sessions[tid].AckApplied(client, seq)
 				}
@@ -78,7 +85,7 @@ func detectCell(cfg DBConfig, path string, threads int) BenchEntry {
 			client := uint64(tid + 1)
 			seqs[tid*8]++
 			seq := seqs[tid*8]
-			sessions[tid].PutDetectable(client, seq, keys[rngs[tid].intn(cfg.Keys)], dbValue)
+			putDetectable(tid, seq, keys[rngs[tid].intn(cfg.Keys)])
 			if seq%detectAckEvery == 0 {
 				sessions[tid].AckApplied(client, seq)
 			}

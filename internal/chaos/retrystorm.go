@@ -111,7 +111,11 @@ func NewStormRunner(name string) (*StormRunner, error) {
 				b := &shardeddb.WriteBatch{}
 				b.Put(key('a', seq), []byte{byte(seq)})
 				b.Put(key('b', seq), []byte{byte(seq) ^ 0xff})
-				return s.WriteDetectable(b, stormClient, seq)
+				applied, err := s.Apply(b, shardeddb.WriteOptions{Client: stormClient, Seq: seq})
+				if err != nil {
+					panic(err)
+				}
+				return applied
 			},
 			Ack:        func(upto uint64) { s.AckApplied(stormClient, upto) },
 			WasApplied: func(seq uint64) bool { return s.WasApplied(stormClient, seq) },
@@ -142,7 +146,13 @@ func NewStormRunner(name string) (*StormRunner, error) {
 				s = redodb.Open(g.Pool(0), redodb.Options{Threads: 1}).Session(0)
 			},
 			Apply: func(seq uint64) bool {
-				return s.PutDetectable(stormClient, seq, key(seq), []byte{byte(seq)})
+				b := &redodb.WriteBatch{}
+				b.Put(key(seq), []byte{byte(seq)})
+				applied, err := s.Apply(b, redodb.WriteOptions{Client: stormClient, Seq: seq})
+				if err != nil {
+					panic(err)
+				}
+				return applied
 			},
 			Ack:        func(upto uint64) { s.AckApplied(stormClient, upto) },
 			WasApplied: func(seq uint64) bool { return s.WasApplied(stormClient, seq) },

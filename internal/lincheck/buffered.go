@@ -53,7 +53,7 @@ type BufferedOp struct {
 	Epoch uint64
 	// Synced marks an operation whose epoch was pinned durable before the
 	// segment's crash — the caller completed a Sync (or the operation was a
-	// PutDurable/WriteDurable) covering it. The watermark enumeration never
+	// write with WriteOptions.Sync) covering it. The watermark enumeration never
 	// drops below a synced epoch: losing a synced effect is a violation no
 	// matter what else survives.
 	Synced bool

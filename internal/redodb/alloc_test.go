@@ -118,7 +118,7 @@ func TestHotPathAllocationsBuffered(t *testing.T) {
 		t.Errorf("Put+Persist: %.1f allocs/op, want <= 2 (Persist must be allocation-free)", a)
 	}
 	// Sync on an already-durable epoch is the fast path out of every
-	// PutDurable pair: a pair of atomic loads, no allocations.
+	// Sync-option write: a pair of atomic loads, no allocations.
 	if a := testing.AllocsPerRun(200, func() {
 		s.Sync()
 	}); a != 0 {

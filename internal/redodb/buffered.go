@@ -15,8 +15,7 @@ import (
 // their own consistency point:
 //
 //   - Session.Sync() blocks until the session's last operation is durable.
-//   - Session.PutDurable / Session.WriteDurable are the synchronous escape
-//     hatch (commit + Sync).
+//   - WriteOptions.Sync is the synchronous escape hatch (commit + Sync).
 //   - Session.Watch(epoch) returns a channel closed once the watermark
 //     reaches epoch — the async completion-notification API.
 //
@@ -200,18 +199,4 @@ func (s *Session) Sync() {
 	ch := s.db.watch(target)
 	s.db.nudge()
 	<-ch
-}
-
-// PutDurable is the synchronous escape hatch: Put plus Sync, so the write
-// is durable when it returns even in buffered mode.
-func (s *Session) PutDurable(key, value []byte) {
-	s.Put(key, value)
-	s.Sync()
-}
-
-// WriteDurable applies the batch atomically and returns only once it is
-// durable.
-func (s *Session) WriteDurable(b *WriteBatch) {
-	s.Write(b)
-	s.Sync()
 }

@@ -38,7 +38,7 @@ func survivedPrefix(t *testing.T, s *Session, n int) int {
 // TestBufferedSemantics covers the API contract in one caller-driven run:
 // reads see un-persisted commits immediately, the watermark trails the
 // committed epoch until Persist, Sync advances it exactly to the session's
-// last epoch, and PutDurable is durable on return.
+// last epoch. WriteOptions.Sync is pinned by TestWriteOptionsMatrix.
 func TestBufferedSemantics(t *testing.T) {
 	pool := pmem.New(pmem.Config{Mode: pmem.Strict, RegionWords: 1 << 14, Regions: 3})
 	db := Open(pool, bufferedOpts)
@@ -62,17 +62,6 @@ func TestBufferedSemantics(t *testing.T) {
 	s.Sync()
 	if db.DurableEpoch() < s.LastEpoch() {
 		t.Fatalf("Sync returned with watermark %d < last epoch %d", db.DurableEpoch(), s.LastEpoch())
-	}
-	s.PutDurable(bkey(8), []byte{8})
-	if db.DurableEpoch() < s.LastEpoch() {
-		t.Fatal("PutDurable returned before its epoch was durable")
-	}
-	b := &WriteBatch{}
-	b.Put(bkey(9), []byte{9})
-	b.Put(bkey(10), []byte{10})
-	s.WriteDurable(b)
-	if db.DurableEpoch() < s.LastEpoch() {
-		t.Fatal("WriteDurable returned before its epoch was durable")
 	}
 }
 
@@ -137,7 +126,7 @@ func TestBufferedWatch(t *testing.T) {
 
 // TestBufferedPersisterGoroutine is the background-persister smoke (run
 // under -race by ci.sh): with the default cadence goroutine running, Sync,
-// PutDurable and Watch all complete, concurrent writers make progress, and
+// Sync-option writes and Watch all complete, concurrent writers make progress, and
 // Close drains cleanly after a final seal.
 func TestBufferedPersisterGoroutine(t *testing.T) {
 	pool := pmem.New(pmem.Config{Mode: pmem.Direct, RegionWords: 1 << 16, Regions: 4})
@@ -156,8 +145,11 @@ func TestBufferedPersisterGoroutine(t *testing.T) {
 		s.Sync()
 	}()
 	s := db.Session(0)
+	var b WriteBatch
 	for i := 0; i < 100; i++ {
-		s.PutDurable(bkey(100+i%16), []byte{byte(i)})
+		b.Clear()
+		b.Put(bkey(100+i%16), []byte{byte(i)})
+		s.Apply(&b, WriteOptions{Sync: true})
 	}
 	<-s.Watch(s.LastEpoch())
 	<-done

@@ -1,11 +1,38 @@
 package redodb
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/pmem"
 )
+
+// detPut is a detectable one-put batch for request (client, seq), reporting
+// whether it applied. Any error fails the test.
+func detPut(t testing.TB, s *Session, client, seq uint64, key, val []byte) bool {
+	t.Helper()
+	b := &WriteBatch{}
+	b.Put(key, val)
+	return mustApply(t, s, b, WriteOptions{Client: client, Seq: seq})
+}
+
+// detDelete is detPut's one-delete counterpart.
+func detDelete(t testing.TB, s *Session, client, seq uint64, key []byte) bool {
+	t.Helper()
+	b := &WriteBatch{}
+	b.Delete(key)
+	return mustApply(t, s, b, WriteOptions{Client: client, Seq: seq})
+}
+
+func mustApply(t testing.TB, s *Session, b *WriteBatch, o WriteOptions) bool {
+	t.Helper()
+	applied, err := s.Apply(b, o)
+	if err != nil {
+		t.Fatalf("Apply(%+v): %v", o, err)
+	}
+	return applied
+}
 
 func TestDetectablePutDeleteDedup(t *testing.T) {
 	db, _ := openDB(t, 1, pmem.Direct, 1<<18)
@@ -15,28 +42,28 @@ func TestDetectablePutDeleteDedup(t *testing.T) {
 	if s.WasApplied(client, 1) {
 		t.Fatal("WasApplied true before any operation")
 	}
-	if !s.PutDetectable(client, 1, []byte("k"), []byte("v1")) {
-		t.Fatal("first PutDetectable reported dedup")
+	if !detPut(t, s, client, 1, []byte("k"), []byte("v1")) {
+		t.Fatal("first detectable put reported dedup")
 	}
 	if !s.WasApplied(client, 1) {
 		t.Fatal("WasApplied false after commit")
 	}
 	// A retry of the same request is skipped and changes nothing.
-	if s.PutDetectable(client, 1, []byte("k"), []byte("v1")) {
-		t.Fatal("retried PutDetectable applied twice")
+	if detPut(t, s, client, 1, []byte("k"), []byte("v1")) {
+		t.Fatal("retried detectable put applied twice")
 	}
 	if v, _ := s.Get([]byte("k")); string(v) != "v1" {
 		t.Fatalf("value %q after retry", v)
 	}
 
-	if !s.PutDetectable(client, 2, []byte("k"), []byte("v2")) {
+	if !detPut(t, s, client, 2, []byte("k"), []byte("v2")) {
 		t.Fatal("seq 2 reported dedup")
 	}
-	if !s.DeleteDetectable(client, 3, []byte("k")) {
-		t.Fatal("first DeleteDetectable reported dedup")
+	if !detDelete(t, s, client, 3, []byte("k")) {
+		t.Fatal("first detectable delete reported dedup")
 	}
-	if s.DeleteDetectable(client, 3, []byte("k")) {
-		t.Fatal("retried DeleteDetectable applied twice")
+	if detDelete(t, s, client, 3, []byte("k")) {
+		t.Fatal("retried detectable delete applied twice")
 	}
 	if s.Has([]byte("k")) {
 		t.Fatal("key survived detectable delete")
@@ -54,49 +81,33 @@ func TestDetectablePutDeleteDedup(t *testing.T) {
 	}
 }
 
-func TestDetectableBatchDedup(t *testing.T) {
+// TestDetectableSeqReuseRejected: a seq re-used for a different operation
+// returns ErrSeqReused, applies nothing, and leaves the session usable.
+func TestDetectableSeqReuseRejected(t *testing.T) {
 	db, _ := openDB(t, 1, pmem.Direct, 1<<18)
 	s := db.Session(0)
-	const client = 9
-
+	detPut(t, s, 1, 1, []byte("a"), []byte("v"))
 	b := &WriteBatch{}
-	b.Put([]byte("x"), []byte("1"))
-	b.Put([]byte("y"), []byte("2"))
-	b.Delete([]byte("z"))
-	if !s.WriteDetectable(b, client, 1) {
-		t.Fatal("first WriteDetectable reported dedup")
+	b.Put([]byte("DIFFERENT"), []byte("v"))
+	if applied, err := s.Apply(b, WriteOptions{Client: 1, Seq: 1}); !errors.Is(err, ErrSeqReused) || applied {
+		t.Fatalf("seq re-use for a different operation = (%v, %v), want (false, ErrSeqReused)", applied, err)
 	}
-	if s.WriteDetectable(b, client, 1) {
-		t.Fatal("retried WriteDetectable applied twice")
+	if s.Has([]byte("DIFFERENT")) {
+		t.Fatal("rejected re-use applied its batch")
 	}
-	if v, _ := s.Get([]byte("x")); string(v) != "1" {
-		t.Fatalf("x = %q", v)
+	if !detPut(t, s, 1, 2, []byte("b"), []byte("v")) {
+		t.Fatal("next seq deduplicated after a rejected re-use")
 	}
-	if r, _, _ := s.DetectStats(client); r != 1 {
-		t.Fatalf("receipts = %d, want 1 (batch is one request)", r)
-	}
-}
-
-func TestDetectableSeqReusePanics(t *testing.T) {
-	db, _ := openDB(t, 1, pmem.Direct, 1<<18)
-	s := db.Session(0)
-	s.PutDetectable(1, 1, []byte("a"), []byte("v"))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("seq re-use for a different operation did not panic")
-		}
-	}()
-	s.PutDetectable(1, 1, []byte("DIFFERENT"), []byte("v"))
 }
 
 func TestDetectableDistinctClients(t *testing.T) {
 	db, _ := openDB(t, 2, pmem.Direct, 1<<18)
 	a, b := db.Session(0), db.Session(1)
 	// The same seq from different clients is two independent requests.
-	if !a.PutDetectable(10, 1, []byte("k10"), []byte("a")) {
+	if !detPut(t, a, 10, 1, []byte("k10"), []byte("a")) {
 		t.Fatal("client 10 deduplicated")
 	}
-	if !b.PutDetectable(20, 1, []byte("k20"), []byte("b")) {
+	if !detPut(t, b, 20, 1, []byte("k20"), []byte("b")) {
 		t.Fatal("client 20 deduplicated against client 10")
 	}
 	if a.WasApplied(10, 2) || b.WasApplied(20, 2) {
@@ -133,7 +144,7 @@ func TestDetectableCrashExactlyOnce(t *testing.T) {
 			s := Open(pool, Options{Threads: 1}).Session(0)
 			pool.InjectFailure(fail)
 			for i := uint64(1); i <= ops; i++ {
-				s.PutDetectable(client, i, key(i), val(i))
+				detPut(t, s, client, i, key(i), val(i))
 				if i%5 == 0 {
 					s.AckApplied(client, i)
 					acked = i
@@ -166,7 +177,7 @@ func TestDetectableCrashExactlyOnce(t *testing.T) {
 		// the receipted requests.
 		for i := uint64(1); i <= ops; i++ {
 			pre := s.WasApplied(client, i)
-			appliedNow := s.PutDetectable(client, i, key(i), val(i))
+			appliedNow := detPut(t, s, client, i, key(i), val(i))
 			if appliedNow == pre {
 				// The retry applies iff no receipt existed — anything else
 				// is a lost receipt or a double apply.

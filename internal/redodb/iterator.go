@@ -26,24 +26,18 @@ type kv struct {
 // NewIterator takes a snapshot and positions the iterator before the first
 // key (call Next to advance, like LevelDB with SeekToFirst implied).
 func (s *Session) NewIterator() *Iterator {
-	root := s.db.root
-	_, blob := s.db.eng.ReadWithBytes(s.tid, func(m ptm.Mem) uint64 {
-		ptm.EmitBytes(m, serializeAll(m, root))
-		return 0
-	})
-	return &Iterator{pairs: deserialize(blob), pos: -1}
+	it, _ := s.NewIteratorTagged()
+	return it
 }
 
 // NewIteratorTagged takes a snapshot like NewIterator and additionally
-// returns the WriteTagged tag from root slot tagSlot as observed by the SAME
-// read transaction. A multi-shard merger uses the tag to decide whether the
+// returns the batch tag (WriteOptions.Tag) as observed by the SAME read
+// transaction. A multi-shard merger uses the tag to decide whether the
 // per-shard snapshots it collected are mutually consistent.
-func (s *Session) NewIteratorTagged(tagSlot int) (*Iterator, uint64) {
-	root := s.db.root
-	tagAddr := ptm.RootAddr(tagSlot)
+func (s *Session) NewIteratorTagged() (*Iterator, uint64) {
 	tag, blob := s.db.eng.ReadWithBytes(s.tid, func(m ptm.Mem) uint64 {
-		ptm.EmitBytes(m, serializeAll(m, root))
-		return m.Load(tagAddr)
+		ptm.EmitBytes(m, serializeAll(m))
+		return m.Load(tagRoot)
 	})
 	return &Iterator{pairs: deserialize(blob), pos: -1}, tag
 }
@@ -51,8 +45,8 @@ func (s *Session) NewIteratorTagged(tagSlot int) (*Iterator, uint64) {
 // serializeAll walks the hash map and encodes every pair, sorted by key.
 // It runs inside a read transaction and is deterministic, as required of
 // closures that helpers may re-execute.
-func serializeAll(m ptm.Mem, root uint64) []byte {
-	hdr := m.Load(root)
+func serializeAll(m ptm.Mem) []byte {
+	hdr := m.Load(mapRoot)
 	buckets := m.Load(hdr + hdrBuckets)
 	nb := m.Load(hdr + hdrNB)
 	pairs := make([]kv, 0, m.Load(hdr+hdrCount))

@@ -16,7 +16,7 @@ import (
 // leaked.
 func (db *DB) heapRoots(m ptm.Mem) palloc.RootEnumerator {
 	return func(visit func(uint64)) {
-		if hdr := m.Load(db.root); hdr != 0 {
+		if hdr := m.Load(mapRoot); hdr != 0 {
 			visit(hdr)
 			buckets, nb := m.Load(hdr+hdrBuckets), m.Load(hdr+hdrNB)
 			visit(buckets)
@@ -28,7 +28,7 @@ func (db *DB) heapRoots(m ptm.Mem) palloc.RootEnumerator {
 				}
 			}
 		}
-		db.detect.Blocks(m, visit)
+		dedup.Blocks(m, visit)
 	}
 }
 

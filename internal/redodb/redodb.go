@@ -39,16 +39,25 @@ const (
 	minBuckets = 64
 )
 
+// Persistent root slots (ptm.RootAddr indices). They are fixed by the
+// on-media format, so every image — standalone or a shard of shardeddb —
+// uses the same three.
+const (
+	mapSlot    = 0 // hash-map header
+	tagSlot    = 1 // last applied coordinator batch tag (WriteOptions.Tag)
+	detectSlot = 2 // request-dedup table behind detectable writes
+)
+
+var (
+	mapRoot = ptm.RootAddr(mapSlot)
+	tagRoot = ptm.RootAddr(tagSlot)
+	dedup   = detect.Table{RootSlot: detectSlot}
+)
+
 // Options parameterizes Open.
 type Options struct {
 	// Threads is the number of concurrent sessions (thread ids).
 	Threads int
-	// RootSlot is the persistent root slot holding the map (default 0).
-	RootSlot int
-	// DetectRootSlot is the persistent root slot holding the request-dedup
-	// table behind the detectable-operation API (default 2; slot 1 is the
-	// sharded front-end's batch tag). It must differ from RootSlot.
-	DetectRootSlot int
 	// Variant selects the underlying construction (default RedoOpt-PTM,
 	// as in the paper).
 	Variant redo.Variant
@@ -78,11 +87,9 @@ type Options struct {
 
 // DB is a RedoDB instance.
 type DB struct {
-	eng    *redo.Redo
-	pool   *pmem.Pool
-	root   uint64
-	detect detect.Table
-	buf    *buffered // nil in synchronous mode
+	eng  *redo.Redo
+	pool *pmem.Pool
+	buf  *buffered // nil in synchronous mode
 }
 
 // Open creates or recovers a RedoDB over pool. The pool should have
@@ -94,12 +101,6 @@ func Open(pool *pmem.Pool, opts Options) *DB {
 	if opts.Variant == 0 {
 		opts.Variant = redo.Opt
 	}
-	if opts.DetectRootSlot == 0 {
-		opts.DetectRootSlot = 2
-	}
-	if opts.DetectRootSlot == opts.RootSlot {
-		panic("redodb: DetectRootSlot must differ from RootSlot")
-	}
 	pool.TraceEvent(obs.KindRecoveryBegin, -1, -1, 0, 0, 0)
 	eng := redo.New(pool, redo.Config{
 		Threads:     opts.Threads,
@@ -110,12 +111,7 @@ func Open(pool *pmem.Pool, opts Options) *DB {
 		Buffered:    opts.Buffered,
 		LegacyAlloc: opts.LegacyAlloc,
 	})
-	db := &DB{
-		eng:    eng,
-		pool:   pool,
-		root:   ptm.RootAddr(opts.RootSlot),
-		detect: detect.Table{RootSlot: opts.DetectRootSlot},
-	}
+	db := &DB{eng: eng, pool: pool}
 	if opts.Buffered {
 		db.buf = &buffered{kick: make(chan struct{}, 1)}
 		if opts.PersistEvery >= 0 {
@@ -138,7 +134,7 @@ func Open(pool *pmem.Pool, opts Options) *DB {
 	pool.TraceEvent(obs.KindRecoveryEnd, -1, -1, 0, 0, 0)
 	// Initialize the map on first open; a recovered pool already holds it.
 	db.eng.Update(0, func(m ptm.Mem) uint64 {
-		if m.Load(db.root) != 0 {
+		if m.Load(mapRoot) != 0 {
 			return 0
 		}
 		hdr := m.Alloc(3)
@@ -150,7 +146,7 @@ func Open(pool *pmem.Pool, opts Options) *DB {
 		m.Store(hdr+hdrBuckets, buckets)
 		m.Store(hdr+hdrNB, minBuckets)
 		m.Store(hdr+hdrCount, 0)
-		m.Store(db.root, hdr)
+		m.Store(mapRoot, hdr)
 		return 0
 	})
 	return db
@@ -226,8 +222,8 @@ func hashKey(k []byte) uint64 {
 
 // findNode returns the node holding key (0 if absent) and its predecessor
 // (0 if the node is the chain head).
-func findNode(m ptm.Mem, root uint64, key []byte, h uint64) (node, prev, slot uint64) {
-	hdr := m.Load(root)
+func findNode(m ptm.Mem, key []byte, h uint64) (node, prev, slot uint64) {
+	hdr := m.Load(mapRoot)
 	nb := m.Load(hdr + hdrNB)
 	slot = m.Load(hdr+hdrBuckets) + (h & (nb - 1))
 	n := m.Load(slot)
@@ -243,9 +239,9 @@ func findNode(m ptm.Mem, root uint64, key []byte, h uint64) (node, prev, slot ui
 
 // putLocked inserts or overwrites key inside an update transaction.
 // Returns 1 if a new key was inserted, 0 on overwrite.
-func putLocked(m ptm.Mem, root uint64, key, val []byte) uint64 {
+func putLocked(m ptm.Mem, key, val []byte) uint64 {
 	h := hashKey(key)
-	node, _, slot := findNode(m, root, key, h)
+	node, _, slot := findNode(m, key, h)
 	if node != 0 {
 		old := m.Load(node + ndVal)
 		va := ptm.AllocBytes(m, val)
@@ -267,19 +263,19 @@ func putLocked(m ptm.Mem, root uint64, key, val []byte) uint64 {
 	m.Store(nd+ndVal, va)
 	m.Store(nd+ndNext, m.Load(slot))
 	m.Store(slot, nd)
-	hdr := m.Load(root)
+	hdr := m.Load(mapRoot)
 	count := m.Load(hdr+hdrCount) + 1
 	m.Store(hdr+hdrCount, count)
 	if count > m.Load(hdr+hdrNB) {
-		growLocked(m, root)
+		growLocked(m)
 	}
 	return 1
 }
 
 // deleteLocked removes key; returns 1 if it was present.
-func deleteLocked(m ptm.Mem, root uint64, key []byte) uint64 {
+func deleteLocked(m ptm.Mem, key []byte) uint64 {
 	h := hashKey(key)
-	node, prev, slot := findNode(m, root, key, h)
+	node, prev, slot := findNode(m, key, h)
 	if node == 0 {
 		return 0
 	}
@@ -291,15 +287,15 @@ func deleteLocked(m ptm.Mem, root uint64, key []byte) uint64 {
 	m.Free(m.Load(node + ndKey))
 	m.Free(m.Load(node + ndVal))
 	m.Free(node)
-	hdr := m.Load(root)
+	hdr := m.Load(mapRoot)
 	m.Store(hdr+hdrCount, m.Load(hdr+hdrCount)-1)
 	return 1
 }
 
 // growLocked doubles the bucket array and rehashes, inside the caller's
 // transaction (atomic and durable like any other update).
-func growLocked(m ptm.Mem, root uint64) {
-	hdr := m.Load(root)
+func growLocked(m ptm.Mem) {
+	hdr := m.Load(mapRoot)
 	oldB := m.Load(hdr + hdrBuckets)
 	oldNB := m.Load(hdr + hdrNB)
 	newNB := oldNB * 2

@@ -20,23 +20,23 @@ type Session struct {
 	hasFn    func(ptm.Mem) uint64
 }
 
-// Put stores (key, value), overwriting any previous value. The closure may
-// be re-executed by helper threads, so key and value are snapshotted — into
-// a single shared backing array, the method's only data allocation.
-func (s *Session) Put(key, value []byte) {
+// Put stores (key, value), overwriting any previous value: a plain write.
+// The closure may be re-executed by helper threads, so key and value are
+// snapshotted — into a single shared backing array, the method's only data
+// allocation.
+func (s *Session) Put(key, value []byte) { s.commit(nil, putOp(key, value), WriteOptions{}) }
+
+// putOp snapshots (key, value) into one op backed by a single allocation.
+func putOp(key, value []byte) batchOp {
 	kv := make([]byte, len(key)+len(value))
 	copy(kv, key)
 	copy(kv[len(key):], value)
-	k, v := kv[:len(key):len(key)], kv[len(key):]
-	root := s.db.root
-	s.db.eng.Update(s.tid, func(m ptm.Mem) uint64 {
-		return putLocked(m, root, k, v)
-	})
+	return batchOp{key: kv[:len(key):len(key)], val: kv[len(key):]}
 }
 
 // getRead is the optimistic lookup bound to getFn at session creation.
 func (s *Session) getRead(m ptm.Mem) uint64 {
-	node, _, _ := findNode(m, s.db.root, s.readKey, s.readHash)
+	node, _, _ := findNode(m, s.readKey, s.readHash)
 	if node == 0 {
 		return 0
 	}
@@ -46,7 +46,7 @@ func (s *Session) getRead(m ptm.Mem) uint64 {
 
 // hasRead is the optimistic membership probe bound to hasFn.
 func (s *Session) hasRead(m ptm.Mem) uint64 {
-	node, _, _ := findNode(m, s.db.root, s.readKey, s.readHash)
+	node, _, _ := findNode(m, s.readKey, s.readHash)
 	if node == 0 {
 		return 0
 	}
@@ -83,9 +83,8 @@ func (s *Session) GetAppend(dst, key []byte) ([]byte, bool) {
 	// Contended: announce a helper-safe closure (clones the key, routes
 	// the value through the executor outbox).
 	k := append([]byte(nil), key...)
-	root := s.db.root
 	found, val := s.db.eng.ReadWithBytes(s.tid, func(m ptm.Mem) uint64 {
-		node, _, _ := findNode(m, root, k, hashKey(k))
+		node, _, _ := findNode(m, k, hashKey(k))
 		if node == 0 {
 			return 0
 		}
@@ -107,9 +106,8 @@ func (s *Session) Has(key []byte) bool {
 		return res == 1
 	}
 	k := append([]byte(nil), key...)
-	root := s.db.root
 	return s.db.eng.Read(s.tid, func(m ptm.Mem) uint64 {
-		node, _, _ := findNode(m, root, k, hashKey(k))
+		node, _, _ := findNode(m, k, hashKey(k))
 		if node == 0 {
 			return 0
 		}
@@ -117,71 +115,23 @@ func (s *Session) Has(key []byte) bool {
 	}) == 1
 }
 
-// Delete removes key, reporting whether it was present.
+// Delete removes key, reporting whether it was present: a plain write.
 func (s *Session) Delete(key []byte) bool {
-	k := append([]byte(nil), key...)
-	root := s.db.root
-	return s.db.eng.Update(s.tid, func(m ptm.Mem) uint64 {
-		return deleteLocked(m, root, k)
-	}) == 1
+	return s.commit(nil, batchOp{key: append([]byte(nil), key...), del: true}, WriteOptions{})&resPresent != 0
 }
 
 // Len returns the number of keys.
 func (s *Session) Len() uint64 {
-	root := s.db.root
 	return s.db.eng.Read(s.tid, func(m ptm.Mem) uint64 {
-		return m.Load(m.Load(root) + hdrCount)
+		return m.Load(m.Load(mapRoot) + hdrCount)
 	})
 }
 
 // Write applies a batch of operations as one atomic durable transaction —
-// the LevelDB WriteBatch semantics, here with serializable isolation.
-func (s *Session) Write(b *WriteBatch) {
-	ops := b.clone()
-	root := s.db.root
-	s.db.eng.Update(s.tid, func(m ptm.Mem) uint64 {
-		for _, op := range ops {
-			if op.del {
-				deleteLocked(m, root, op.key)
-			} else {
-				putLocked(m, root, op.key, op.val)
-			}
-		}
-		return 0
-	})
-}
-
-// WriteTagged applies a batch like Write and, in the same atomic durable
-// transaction, records tag in persistent root slot tagSlot. A multi-shard
-// coordinator tags each shard's sub-batch with the batch sequence number:
-// after a crash, the recovered tag tells exactly which sub-batches were
-// already applied, making replay idempotent. The slot must be distinct from
-// the map's RootSlot.
-func (s *Session) WriteTagged(b *WriteBatch, tagSlot int, tag uint64) {
-	ops := b.clone()
-	root := s.db.root
-	tagAddr := ptm.RootAddr(tagSlot)
-	s.db.eng.Update(s.tid, func(m ptm.Mem) uint64 {
-		for _, op := range ops {
-			if op.del {
-				deleteLocked(m, root, op.key)
-			} else {
-				putLocked(m, root, op.key, op.val)
-			}
-		}
-		m.Store(tagAddr, tag)
-		return 0
-	})
-}
-
-// TagAt returns the tag last recorded in root slot tagSlot by WriteTagged
-// (0 if never written).
-func (s *Session) TagAt(tagSlot int) uint64 {
-	tagAddr := ptm.RootAddr(tagSlot)
-	return s.db.eng.Read(s.tid, func(m ptm.Mem) uint64 {
-		return m.Load(tagAddr)
-	})
-}
+// the LevelDB WriteBatch semantics, here with serializable isolation. A
+// plain write always applies and cannot fail, so Apply's results are
+// dropped.
+func (s *Session) Write(b *WriteBatch) { _, _ = s.Apply(b, WriteOptions{}) }
 
 // WriteBatch collects Put/Delete operations for atomic application.
 type WriteBatch struct {
@@ -218,7 +168,9 @@ func (b *WriteBatch) Clear() {
 }
 
 // clone snapshots the operations; the transaction closure may be
-// re-executed by helpers, so it must not alias caller-mutable state.
+// re-executed by helpers, so it must not alias caller-mutable state. The
+// result is never nil, even for an empty batch: commit reads nil ops as
+// "the single op of Put or Delete".
 func (b *WriteBatch) clone() []batchOp {
 	out := make([]batchOp, len(b.ops))
 	copy(out, b.ops)

@@ -23,7 +23,7 @@ func StaleRanges(pool *pmem.Pool) []pmem.Range {
 func (db *DB) validate() {
 	words := db.pool.RegionWords()
 	db.eng.Read(0, func(m ptm.Mem) uint64 {
-		hdr := m.Load(db.root)
+		hdr := m.Load(mapRoot)
 		if hdr == 0 {
 			return 0 // first open; Open formats next
 		}

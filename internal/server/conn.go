@@ -26,6 +26,7 @@ type conn struct {
 	batch       shardeddb.WriteBatch
 	pending     []pendingPut
 	needDurable bool
+	touched     []int // shards of the write being handled (scratch)
 
 	payload []byte // response payload scratch (scan, stats)
 }
@@ -113,84 +114,11 @@ func (cn *conn) handle(req *wire.Frame) error {
 			resp.Flags |= uint32(wire.StatusNotFound)
 		}
 
-	case wire.OpPut: // detectable (plain puts batched above)
+	case wire.OpPut, wire.OpDelete, wire.OpWrite: // plain PUTs batched above
 		write = true
-		if cn.client == 0 || req.ReqID == 0 {
-			return cn.respondErr(&resp, start, "detectable PUT needs a HELLO client id and nonzero seq")
+		if msg := cn.write(req, &resp); msg != "" {
+			return cn.respondErr(&resp, start, msg)
 		}
-		applied := cn.sess.PutDetectable(cn.client, req.ReqID, req.Key, req.Val)
-		if !applied {
-			resp.Flags |= uint32(wire.StatusDup)
-		}
-		if req.Flags&wire.FlagDurable != 0 {
-			cn.sess.Sync()
-		}
-		resp.Aux = cn.sess.LastEpoch(cn.sess.ShardOf(req.Key))
-
-	case wire.OpDelete:
-		write = true
-		var present bool
-		if req.Flags&wire.FlagDetectable != 0 {
-			if cn.client == 0 || req.ReqID == 0 {
-				return cn.respondErr(&resp, start, "detectable DELETE needs a HELLO client id and nonzero seq")
-			}
-			applied := cn.sess.DeleteDetectable(cn.client, req.ReqID, req.Key)
-			present = true
-			if !applied {
-				resp.Flags |= uint32(wire.StatusDup)
-			}
-		} else {
-			present = cn.sess.Delete(req.Key)
-		}
-		if req.Flags&wire.FlagDurable != 0 {
-			cn.sess.Sync()
-		}
-		if !present {
-			resp.Flags |= uint32(wire.StatusNotFound)
-		}
-		resp.Aux = cn.sess.LastEpoch(cn.sess.ShardOf(req.Key))
-
-	case wire.OpWrite:
-		write = true
-		cn.batch.Clear()
-		touched := make(map[int]struct{}, 4)
-		err := wire.DecodeBatch(req.Val, cn.limits(), func(del bool, key, val []byte) {
-			touched[cn.sess.ShardOf(key)] = struct{}{}
-			if del {
-				cn.batch.Delete(key)
-			} else {
-				cn.batch.Put(key, val)
-			}
-		})
-		if err != nil {
-			cn.batch.Clear()
-			return cn.respondErr(&resp, start, err.Error())
-		}
-		if req.Flags&wire.FlagDetectable != 0 {
-			if cn.client == 0 || req.ReqID == 0 {
-				cn.batch.Clear()
-				return cn.respondErr(&resp, start, "detectable WRITEBATCH needs a HELLO client id and nonzero seq")
-			}
-			if !cn.sess.WriteDetectable(&cn.batch, cn.client, req.ReqID) {
-				resp.Flags |= uint32(wire.StatusDup)
-			}
-			if req.Flags&wire.FlagDurable != 0 {
-				cn.sess.Sync()
-			}
-		} else if req.Flags&wire.FlagDurable != 0 {
-			cn.sess.WriteDurable(&cn.batch)
-		} else {
-			cn.sess.Write(&cn.batch)
-		}
-		// Aux is the max per-shard commit epoch of the touched shards —
-		// exact on a single-shard store (the buffered lincheck harness),
-		// a covering watermark otherwise.
-		for sh := range touched {
-			if e := cn.sess.LastEpoch(sh); e > resp.Aux {
-				resp.Aux = e
-			}
-		}
-		cn.batch.Clear()
 
 	case wire.OpScan:
 		it := cn.sess.NewIterator()
@@ -249,6 +177,62 @@ func (cn *conn) handle(req *wire.Frame) error {
 	return cn.respond(&resp, start, write)
 }
 
+// write is the one write path for detectable PUTs, DELETEs and
+// WRITEBATCHes: build the batch, set the options from the wire flags, commit
+// once. Only a plain DELETE calls Session.Delete instead, because its
+// response reports whether the key was present. It returns the message of a
+// StatusErr response, or "" on success with resp's status and commit epoch
+// set.
+func (cn *conn) write(req, resp *wire.Frame) string {
+	opts := shardeddb.WriteOptions{Sync: req.Flags&wire.FlagDurable != 0}
+	if req.Flags&wire.FlagDetectable != 0 {
+		if cn.client == 0 || req.ReqID == 0 {
+			return "detectable " + req.Op.String() + " needs a HELLO client id and nonzero seq"
+		}
+		opts.Client, opts.Seq = cn.client, req.ReqID
+	}
+	cn.batch.Clear()
+	defer cn.batch.Clear()
+	cn.touched = cn.touched[:0]
+	add := func(del bool, key, val []byte) {
+		cn.touched = append(cn.touched, cn.sess.ShardOf(key))
+		if del {
+			cn.batch.Delete(key)
+		} else {
+			cn.batch.Put(key, val)
+		}
+	}
+	switch req.Op {
+	case wire.OpPut:
+		add(false, req.Key, req.Val)
+	case wire.OpDelete:
+		add(true, req.Key, nil)
+	default:
+		if err := wire.DecodeBatch(req.Val, cn.limits(), add); err != nil {
+			return err.Error()
+		}
+	}
+	if req.Op == wire.OpDelete && opts.Client == 0 {
+		if !cn.sess.Delete(req.Key) {
+			resp.Flags |= uint32(wire.StatusNotFound)
+		}
+		if opts.Sync {
+			cn.sess.Sync()
+		}
+	} else if applied, err := cn.sess.Apply(&cn.batch, opts); err != nil {
+		return err.Error()
+	} else if !applied {
+		resp.Flags |= uint32(wire.StatusDup)
+	}
+	// Aux is the max per-shard commit epoch of the touched shards — exact
+	// on a single-shard store (the buffered lincheck harness), a covering
+	// watermark otherwise.
+	for _, sh := range cn.touched {
+		resp.Aux = max(resp.Aux, cn.sess.LastEpoch(sh))
+	}
+	return ""
+}
+
 // limits returns the connection's effective frame limits.
 func (cn *conn) limits() wire.Limits {
 	lim := cn.srv.opts.Limits
@@ -285,11 +269,8 @@ func (cn *conn) flushWrites() error {
 	if cn.batch.Len() == 0 {
 		return nil
 	}
-	if cn.needDurable {
-		cn.sess.WriteDurable(&cn.batch)
-	} else {
-		cn.sess.Write(&cn.batch)
-	}
+	// Plain writes always apply and cannot fail.
+	_, _ = cn.sess.Apply(&cn.batch, shardeddb.WriteOptions{Sync: cn.needDurable})
 	cn.batch.Clear()
 	cn.needDurable = false
 	var resp wire.Frame

@@ -206,6 +206,31 @@ func decodeNetVal(t *testing.T, b []byte, ok bool) uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
+// TestDetectableSeqReuseKeepsServing: a client that re-uses a seq for a
+// different operation gets StatusErr for that request, while its connection
+// and the server keep serving and the first operation's effect stands.
+func TestDetectableSeqReuseKeepsServing(t *testing.T) {
+	h := newHarness(t, harnessConfig{})
+	cl := h.dial(3)
+	defer cl.Close()
+	if applied, _, err := cl.PutDetectable(7, []byte("k"), []byte("v1")); err != nil || !applied {
+		t.Fatalf("detectable PUT = (%v, %v), want applied", applied, err)
+	}
+	_, _, err := cl.WriteDetectable(7, []load.BatchOp{{Key: []byte("k"), Val: []byte("v2")}})
+	if err == nil {
+		t.Fatal("WRITEBATCH re-using seq 7 for a different operation succeeded")
+	}
+	if v, ok, err := cl.Get([]byte("k")); err != nil || !ok || string(v) != "v1" {
+		t.Fatalf("GET k on the same connection = %q,%v,%v, want v1", v, ok, err)
+	}
+	if applied, _, err := cl.PutDetectable(8, []byte("k2"), []byte("v")); err != nil || !applied {
+		t.Fatalf("next detectable PUT = (%v, %v), want applied", applied, err)
+	}
+	if st := h.srv.Stats(); st.Errors != 1 {
+		t.Fatalf("server counted %d errors, want 1", st.Errors)
+	}
+}
+
 // TestServerCrashRestartDetectableRetries is the end-to-end exactly-once
 // scenario from the issue: remote clients hammer detectable puts over real
 // sockets until a simulated power failure kills the server mid-traffic; the
@@ -237,6 +262,13 @@ func runCrashRetryRound(t *testing.T, fail int64) {
 	var clock atomic.Int64
 	histories := make([][]lincheck.DurableOp, workers)
 	retries := make([]*netPending, workers)
+	// Every worker connects before the failure is armed: a worker dialing
+	// after the other had already tripped the server would fail to connect
+	// to a server that behaved correctly.
+	clients := make([]*load.Client, workers)
+	for w := range clients {
+		clients[w] = h.dial(uint64(w + 1))
+	}
 	h.g.InjectFailure(fail)
 
 	var wg sync.WaitGroup
@@ -245,11 +277,7 @@ func runCrashRetryRound(t *testing.T, fail int64) {
 		go func(tid int) {
 			defer wg.Done()
 			client := uint64(tid + 1)
-			cl, err := load.Dial(h.addr, client)
-			if err != nil {
-				t.Errorf("worker %d: dial: %v", tid, err)
-				return
-			}
+			cl := clients[tid]
 			defer cl.Close()
 			seq := uint64(0)
 			for i := 0; i < opsPerWorker; i++ {

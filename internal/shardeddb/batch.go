@@ -1,6 +1,9 @@
 package shardeddb
 
-import "repro/internal/redodb"
+import (
+	"repro/internal/obs"
+	"repro/internal/redodb"
+)
 
 // WriteBatch collects Put/Delete operations for atomic application across
 // shards. Keys and values are snapshotted into a single grow-only arena the
@@ -8,13 +11,12 @@ import "repro/internal/redodb"
 // buffers (which the next read overwrites) is safe, and a reused batch costs
 // amortized zero allocations per op instead of two.
 //
-// Ownership contract (the per-connection reuse audit, PR 9): Write,
-// WriteDurable, and WriteDetectable must not retain any reference into the
-// batch — arena bytes included — past their return. They hold that contract
-// by copying at every boundary that outlives the call: split() copies each
-// op's bytes into fresh per-shard redodb batches (whose own Put snapshots
-// them for helper re-execution), and the coordinator intent serializes the
-// ops into its payload buffer. Clear may therefore recycle the arena
+// Ownership contract (the per-connection reuse audit): Apply must not
+// retain any reference into the batch — arena bytes included — past its
+// return. It holds that contract by copying at every boundary that outlives
+// the call: split() copies each op's bytes into fresh per-shard redodb
+// batches (whose own Put snapshots them for helper re-execution), and the
+// coordinator intent serializes the ops into its payload buffer. Clear may therefore recycle the arena
 // immediately; the contract is pinned by TestWriteBatchArenaReuse and the
 // pipelined-connection race smoke in internal/server. A batch still must
 // not be MUTATED concurrently with a Write that was handed the same *batch*
@@ -82,59 +84,135 @@ func (s *Session) split(ops []batchOp) []*redodb.WriteBatch {
 	return subs
 }
 
-// Write applies the batch atomically and durably.
+// WriteOptions selects how a write commits: plain, Sync (durable on
+// return in buffered mode) and/or detectable (Client, Seq). It is redodb's
+// option set; Tag and Digest are the coordinator's own and Apply ignores
+// any value the caller puts there.
+type WriteOptions = redodb.WriteOptions
+
+// Write applies the batch atomically and durably: Apply with no options. A
+// plain write always applies and cannot fail, so Apply's results are
+// dropped.
+func (s *Session) Write(b *WriteBatch) { _, _ = s.Apply(b, WriteOptions{}) }
+
+// Apply applies the batch atomically under the given options, reporting
+// whether this call applied it (false: a detectable write found its receipt
+// and was skipped). A seq re-used for a different operation returns
+// redodb.ErrSeqReused with nothing applied.
 //
 // A batch whose keys all live on one shard is a single RedoDB transaction —
-// wait-free, no coordinator involvement. A cross-shard batch takes the
-// coordinator path: publish a durable intent, apply the per-shard
-// sub-batches (each tagged with the batch sequence number), then durably
-// complete. A crash anywhere in between leaves either a completed batch or
-// an open intent that Open rolls forward, so no execution ever exposes some
-// shards' sub-batches without the others.
-func (s *Session) Write(b *WriteBatch) {
+// wait-free, no coordinator involvement — carrying the receipt when
+// detectable. A cross-shard batch takes the coordinator path: publish a
+// durable intent, apply the per-shard sub-batches (each tagged with the
+// batch sequence number), then durably complete. A crash anywhere in between
+// leaves either a completed batch or an open intent that Open rolls forward,
+// so no execution ever exposes some shards' sub-batches without the others.
+//
+// A detectable cross-shard batch anchors its receipt on the client's home
+// shard (an empty detectable batch too: it still consumes the seq) and
+// carries the receipt identity in the intent, so roll-forward re-records it
+// atomically with the home shard's sub-batch.
+func (s *Session) Apply(b *WriteBatch, o WriteOptions) (applied bool, err error) {
 	ops := make([]batchOp, len(b.ops))
 	copy(ops, b.ops)
 	subs := s.split(ops)
-	touched := 0
-	only := -1
+	touched, only := 0, -1
 	for i, sub := range subs {
 		if sub != nil {
 			touched++
 			only = i
 		}
 	}
-	switch touched {
-	case 0:
-		return
-	case 1:
-		s.sess[only].Write(subs[only])
-		return
+	o.Tag, o.Digest = 0, 0
+	var rcpt *intentReceipt
+	if o.Client != 0 {
+		o.Digest = batchDigest(ops)
+		rcpt = &intentReceipt{client: o.Client, seq: o.Seq, digest: o.Digest, home: s.db.homeShard(o.Client)}
 	}
+	sync := o.Sync
+	o.Sync = false // the session-wide barrier below covers every shard
+	switch {
+	case touched == 0 && rcpt != nil:
+		applied, err = s.sess[rcpt.home].Apply(&redodb.WriteBatch{}, o)
+	case touched == 0:
+		applied = true
+	case touched == 1:
+		// A retry splits identically, so it probes the same shard.
+		applied, err = s.sess[only].Apply(subs[only], o)
+	default:
+		applied = s.writeCrossShard(ops, subs, rcpt)
+	}
+	if err == nil && sync {
+		s.Sync()
+	}
+	return applied, err
+}
 
+// writeCrossShard runs the coordinator protocol for a batch touching more
+// than one shard, reporting false for a detectable batch whose receipt is
+// already durable.
+func (s *Session) writeCrossShard(ops []batchOp, subs []*redodb.WriteBatch, rcpt *intentReceipt) bool {
 	db := s.db
 	db.batchMu.Lock()
 	defer db.batchMu.Unlock()
+	if rcpt != nil && s.sess[rcpt.home].WasApplied(rcpt.client, rcpt.seq) {
+		// The receipt is durable, so the batch committed (first attempt, a
+		// racing retry, or recovery's roll-forward): pure dedup hit.
+		db.group.Pool(0).TraceEvent(obs.KindDedupHit, -1, -1, rcpt.client, 0, rcpt.seq)
+		return false
+	}
 	seq := db.nextSeq
 	db.nextSeq++
-	db.publishIntent(seq, encodeIntent(ops, nil))
-	for i, sub := range subs {
-		if sub != nil {
-			s.sess[i].WriteTagged(sub, tagRoot, seq)
-		}
-	}
+	db.publishIntent(seq, encodeIntent(ops, rcpt))
+	s.applySubs(subs, seq, nil, rcpt)
 	// Buffered shards: the cross-shard Sync barrier. Every touched shard
-	// must persist its sub-batch (tag included) before the intent retires —
-	// otherwise a crash after completeIntent could lose some shards'
-	// volatile sub-batches with nothing left to roll forward, turning an
-	// atomic batch into a torn one. With the barrier, a crash loses either
-	// the whole batch (intent still open → roll-forward) or nothing.
+	// (and the receipt's home shard) must persist its sub-batch, tag
+	// included, before the intent retires — otherwise a crash after
+	// completeIntent could lose some shards' volatile sub-batches with
+	// nothing left to roll forward, turning an atomic batch into a torn
+	// one. With the barrier, a crash loses either the whole batch (intent
+	// still open → roll-forward) or nothing.
 	if db.buffered {
 		for i, sub := range subs {
-			if sub != nil {
+			if sub != nil || (rcpt != nil && i == rcpt.home) {
 				db.shards[i].Persist()
 			}
 		}
 	}
 	db.completeIntent(seq)
 	db.lastCommitted.Store(seq)
+	return true
+}
+
+// applySubs applies each shard's sub-batch tagged with the batch sequence
+// number seq, skipping shards whose recovered tag (tags, nil on the live
+// path) shows the sub-batch already applied. With a receipt, the home
+// shard's sub-batch — possibly empty: the home shard is chosen by client
+// id, not by the batch's keys — carries it, so it re-records atomically
+// with that sub-batch; a home shard that already holds the receipt stores
+// only the tag.
+func (s *Session) applySubs(subs []*redodb.WriteBatch, seq uint64, tags []uint64, rcpt *intentReceipt) {
+	for i, sub := range subs {
+		if tags != nil && tags[i] == seq {
+			continue
+		}
+		o := WriteOptions{Tag: seq}
+		if rcpt != nil && i == rcpt.home {
+			o.Client, o.Seq, o.Digest = rcpt.client, rcpt.seq, rcpt.digest
+			if sub == nil {
+				sub = &redodb.WriteBatch{}
+			}
+		}
+		if sub == nil {
+			continue
+		}
+		if _, err := s.sess[i].Apply(sub, o); err != nil {
+			// ErrSeqReused: the home shard holds this seq's receipt for
+			// another operation, which only a client id driven from two
+			// sessions at once can cause (the probe under batchMu saw no
+			// receipt). The intent is published, so the batch must still
+			// apply on every shard: apply this sub-batch unreceipted.
+			_, _ = s.sess[i].Apply(sub, WriteOptions{Tag: seq})
+		}
+	}
 }

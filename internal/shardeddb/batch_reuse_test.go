@@ -44,7 +44,7 @@ func TestWriteBatchArenaReuse(t *testing.T) {
 					}
 				}
 				if r%3 == 2 {
-					s.WriteDetectable(b, 77, uint64(r+1))
+					s.Apply(b, WriteOptions{Client: 77, Seq: uint64(r + 1)})
 				} else {
 					s.Write(b)
 				}
@@ -127,7 +127,7 @@ func TestRaceSmokeConnBatches(t *testing.T) {
 				if r%2 == 0 {
 					s.Write(b)
 				} else {
-					s.WriteDetectable(b, uint64(tid)+1, uint64(r/2)+1)
+					s.Apply(b, WriteOptions{Client: uint64(tid) + 1, Seq: uint64(r/2) + 1})
 				}
 			}
 		}(c)

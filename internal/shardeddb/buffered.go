@@ -111,20 +111,3 @@ func (s *Session) Sync() {
 // write responses so remote clients can correlate acknowledgements with the
 // shard's durable-epoch watermark.
 func (s *Session) LastEpoch(shard int) uint64 { return s.sess[shard].LastEpoch() }
-
-// PutDurable stores (key, value) and returns only once it is durable: the
-// synchronous escape hatch in buffered mode.
-func (s *Session) PutDurable(key, value []byte) {
-	sh := s.shardOf(key)
-	s.sess[sh].Put(key, value)
-	s.sess[sh].Sync()
-}
-
-// WriteDurable applies the batch atomically and returns only once every
-// touched shard has persisted it. (Cross-shard batches are already durable
-// when Write returns — the intent protocol requires it — so the extra wait
-// only affects the single-shard fast path.)
-func (s *Session) WriteDurable(b *WriteBatch) {
-	s.Write(b)
-	s.Sync()
-}

@@ -16,8 +16,8 @@ func bufGroup(shards int) *pmem.Group {
 }
 
 // TestBufferedShardedSemantics covers the sharded buffered API: per-shard
-// watermarks trail until Persist, Sync is the cross-shard barrier, and
-// PutDurable/WriteDurable are durable on return.
+// watermarks trail until Persist and Sync is the cross-shard barrier.
+// WriteOptions.Sync is pinned by TestWriteOptionsMatrix.
 func TestBufferedShardedSemantics(t *testing.T) {
 	g := bufGroup(4)
 	db := Open(g, bufOpts)
@@ -42,16 +42,6 @@ func TestBufferedShardedSemantics(t *testing.T) {
 		if db.DurableEpoch(sh) < db.CommittedEpoch(sh) {
 			t.Fatalf("shard %d watermark %d still behind tail %d after Sync",
 				sh, db.DurableEpoch(sh), db.CommittedEpoch(sh))
-		}
-	}
-	s.PutDurable([]byte("durable-key"), []byte("v"))
-	b := &WriteBatch{}
-	b.Put([]byte("wd-a"), []byte("1"))
-	b.Put([]byte("wd-b"), []byte("2"))
-	s.WriteDurable(b)
-	for sh := 0; sh < db.Shards(); sh++ {
-		if db.DurableEpoch(sh) < db.CommittedEpoch(sh) {
-			t.Fatalf("shard %d not durable after WriteDurable", sh)
 		}
 	}
 }
@@ -182,7 +172,7 @@ func TestRecoverIsIdempotentBuffered(t *testing.T) {
 }
 
 // TestBufferedShardedPersisterGoroutine is the group-persister smoke: one
-// background goroutine seals all shards; Sync and WriteDurable complete
+// background goroutine seals all shards; Sync and cross-shard writes complete
 // under it and Close drains cleanly. Run under -race by ci.sh.
 func TestBufferedShardedPersisterGoroutine(t *testing.T) {
 	g := NewGroup(GroupConfig{Shards: 2, Threads: 2, Buffered: true})

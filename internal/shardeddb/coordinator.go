@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/pmem"
-	"repro/internal/redodb"
 )
 
 // Batch-intent record layout (coordinator region, word addresses).
@@ -258,7 +257,7 @@ func (db *DB) recoverIntent() {
 	maxSeq := lastSeq
 	tags := make([]uint64, len(db.shards))
 	for i, sh := range db.shards {
-		tags[i] = sh.Session(0).TagAt(tagRoot)
+		tags[i] = sh.Session(0).TagAt()
 		if tags[i] > maxSeq {
 			maxSeq = tags[i]
 		}
@@ -295,7 +294,8 @@ func (db *DB) recoverIntent() {
 			}
 			db.group.Pool(0).TraceEvent(obs.KindRollForward, -1, db.coord.Index(), 0, 0, seq)
 			ops, rcpt := decodeIntent(buf, len(db.shards))
-			db.applyBySub(ops, seq, tags, rcpt)
+			s := db.Session(0)
+			s.applySubs(s.split(ops), seq, tags, rcpt)
 			// Buffered shards: the replayed sub-batches commit into fresh
 			// in-flight epochs; they must persist before the intent is
 			// retired below, or a crash-after-retire would lose them with
@@ -319,32 +319,4 @@ func (db *DB) recoverIntent() {
 	}
 	db.lastCommitted.Store(maxSeq)
 	db.nextSeq = maxSeq + 1
-}
-
-// applyBySub splits ops by shard and applies each sub-batch tagged with seq,
-// skipping shards whose tag shows the sub-batch already applied. When the
-// intent carries a detectable receipt, the home shard's sub-batch (possibly
-// empty — the home shard is chosen by client id, not by the batch's keys) is
-// applied with WriteTaggedDetectable so the receipt re-records atomically
-// with it; a home shard that already holds the receipt stores only the tag.
-func (db *DB) applyBySub(ops []batchOp, seq uint64, tags []uint64, rcpt *intentReceipt) {
-	s := db.Session(0)
-	subs := s.split(ops)
-	for shard, sub := range subs {
-		if tags[shard] == seq {
-			continue
-		}
-		if rcpt != nil && shard == rcpt.home {
-			hb := sub
-			if hb == nil {
-				hb = &redodb.WriteBatch{}
-			}
-			s.sess[shard].WriteTaggedDetectable(hb, tagRoot, seq, rcpt.client, rcpt.seq, rcpt.digest)
-			continue
-		}
-		if sub == nil {
-			continue
-		}
-		s.sess[shard].WriteTagged(sub, tagRoot, seq)
-	}
 }

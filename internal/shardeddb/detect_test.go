@@ -7,25 +7,48 @@ import (
 	"repro/internal/pmem"
 )
 
+// detPut is a detectable one-put batch for request (client, seq), reporting
+// whether it applied. It panics on an error, so it is safe on any goroutine.
+func detPut(s *Session, client, seq uint64, key, val []byte) bool {
+	b := &WriteBatch{}
+	b.Put(key, val)
+	return mustApply(s, b, WriteOptions{Client: client, Seq: seq})
+}
+
+// detDelete is detPut's one-delete counterpart.
+func detDelete(s *Session, client, seq uint64, key []byte) bool {
+	b := &WriteBatch{}
+	b.Delete(key)
+	return mustApply(s, b, WriteOptions{Client: client, Seq: seq})
+}
+
+func mustApply(s *Session, b *WriteBatch, o WriteOptions) bool {
+	applied, err := s.Apply(b, o)
+	if err != nil {
+		panic(fmt.Sprintf("Apply(%+v): %v", o, err))
+	}
+	return applied
+}
+
 func TestShardedDetectableOps(t *testing.T) {
 	g := NewGroup(GroupConfig{Shards: 4, Threads: 1})
 	s := Open(g, Options{Threads: 1}).Session(0)
 	const client = 11
 
-	if !s.PutDetectable(client, 1, []byte("a-key"), []byte("v1")) {
-		t.Fatal("first PutDetectable deduplicated")
+	if !detPut(s, client, 1, []byte("a-key"), []byte("v1")) {
+		t.Fatal("first detectable put deduplicated")
 	}
-	if s.PutDetectable(client, 1, []byte("a-key"), []byte("v1")) {
-		t.Fatal("retried PutDetectable applied twice")
+	if detPut(s, client, 1, []byte("a-key"), []byte("v1")) {
+		t.Fatal("retried detectable put applied twice")
 	}
 	if !s.WasApplied(client, 1) {
 		t.Fatal("WasApplied false after commit")
 	}
-	if !s.DeleteDetectable(client, 2, []byte("a-key")) {
-		t.Fatal("first DeleteDetectable deduplicated")
+	if !detDelete(s, client, 2, []byte("a-key")) {
+		t.Fatal("first detectable delete deduplicated")
 	}
-	if s.DeleteDetectable(client, 2, []byte("a-key")) {
-		t.Fatal("retried DeleteDetectable applied twice")
+	if detDelete(s, client, 2, []byte("a-key")) {
+		t.Fatal("retried detectable delete applied twice")
 	}
 
 	// Cross-shard detectable batch: scattered keys, then a retry.
@@ -33,11 +56,11 @@ func TestShardedDetectableOps(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		b.Put([]byte(fmt.Sprintf("%c-det", 'a'+i)), []byte("w"))
 	}
-	if !s.WriteDetectable(b, client, 3) {
-		t.Fatal("first WriteDetectable deduplicated")
+	if !mustApply(s, b, WriteOptions{Client: client, Seq: 3}) {
+		t.Fatal("first detectable batch deduplicated")
 	}
-	if s.WriteDetectable(b, client, 3) {
-		t.Fatal("retried WriteDetectable applied twice")
+	if mustApply(s, b, WriteOptions{Client: client, Seq: 3}) {
+		t.Fatal("retried detectable batch applied twice")
 	}
 	for i := 0; i < 6; i++ {
 		if !s.Has([]byte(fmt.Sprintf("%c-det", 'a'+i))) {
@@ -47,18 +70,18 @@ func TestShardedDetectableOps(t *testing.T) {
 	// Single-shard detectable batch takes the fast path.
 	sb := &WriteBatch{}
 	sb.Put([]byte("solo"), []byte("x"))
-	if !s.WriteDetectable(sb, client, 4) {
-		t.Fatal("single-shard WriteDetectable deduplicated")
+	if !mustApply(s, sb, WriteOptions{Client: client, Seq: 4}) {
+		t.Fatal("single-shard detectable batch deduplicated")
 	}
-	if s.WriteDetectable(sb, client, 4) {
-		t.Fatal("retried single-shard WriteDetectable applied twice")
+	if mustApply(s, sb, WriteOptions{Client: client, Seq: 4}) {
+		t.Fatal("retried single-shard detectable batch applied twice")
 	}
 	// Empty batch: still consumes the seq with a bare receipt.
-	if !s.WriteDetectable(&WriteBatch{}, client, 5) {
-		t.Fatal("empty WriteDetectable deduplicated")
+	if !mustApply(s, &WriteBatch{}, WriteOptions{Client: client, Seq: 5}) {
+		t.Fatal("empty detectable batch deduplicated")
 	}
-	if s.WriteDetectable(&WriteBatch{}, client, 5) {
-		t.Fatal("retried empty WriteDetectable applied twice")
+	if mustApply(s, &WriteBatch{}, WriteOptions{Client: client, Seq: 5}) {
+		t.Fatal("retried empty detectable batch applied twice")
 	}
 
 	if r, mx, a := s.DetectStats(client); r != 5 || mx != 5 || a != 0 {
@@ -109,7 +132,7 @@ func TestShardedDetectableCrashExactlyOnce(t *testing.T) {
 					for i := 0; i < perBatch; i++ {
 						batch.Put(key(b, i), []byte(fmt.Sprintf("v%d", b)))
 					}
-					s.WriteDetectable(batch, client, b)
+					mustApply(s, batch, WriteOptions{Client: client, Seq: b})
 				}
 			}()
 			if !crashed {
@@ -146,7 +169,7 @@ func TestShardedDetectableCrashExactlyOnce(t *testing.T) {
 				for i := 0; i < perBatch; i++ {
 					batch.Put(key(b, i), []byte(fmt.Sprintf("v%d", b)))
 				}
-				if appliedNow := s.WriteDetectable(batch, client, b); appliedNow == pre {
+				if appliedNow := mustApply(s, batch, WriteOptions{Client: client, Seq: b}); appliedNow == pre {
 					t.Fatalf("shards=%d fail=%d: retry of batch %d applied=%v with prior receipt=%v",
 						shards, fail, b, appliedNow, pre)
 				}

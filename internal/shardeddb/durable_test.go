@@ -224,7 +224,7 @@ func runDetectableDurableRound(t *testing.T, shards int, fail int64) {
 						}
 					}()
 					if isPut {
-						s.PutDetectable(client, seq, durableKey(key), durableVal(val))
+						detPut(s, client, seq, durableKey(key), durableVal(val))
 					} else {
 						v, ok := s.Get(durableKey(key))
 						op.Result = decodeVal(t, v, ok)
@@ -292,7 +292,7 @@ func runDetectableDurableRound(t *testing.T, shards int, fail int64) {
 		probe := s.WasApplied(r.client, r.seq)
 		op := lincheck.Op{Thread: workers, Kind: "put", Arg: r.key, Arg2: r.val}
 		op.Call = clock.Add(1)
-		applied := s.PutDetectable(r.client, r.seq, durableKey(r.key), durableVal(r.val))
+		applied := detPut(s, r.client, r.seq, durableKey(r.key), durableVal(r.val))
 		op.Return = clock.Add(1)
 		if applied == probe {
 			t.Fatalf("shards=%d fail=%d: retry of (%d,%d) applied=%v with prior receipt=%v",

@@ -54,7 +54,7 @@ func (s *Session) collect() ([]kv, uint64) {
 	var pairs []kv
 	var maxTag uint64
 	for _, sh := range s.sess {
-		it, tag := sh.NewIteratorTagged(tagRoot)
+		it, tag := sh.NewIteratorTagged()
 		if tag > maxTag {
 			maxTag = tag
 		}

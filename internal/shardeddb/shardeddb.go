@@ -31,14 +31,6 @@ import (
 	"repro/internal/redodb"
 )
 
-const (
-	// mapRoot is the redodb root slot holding each shard's hash map.
-	mapRoot = 0
-	// tagRoot is the root slot holding each shard's last applied batch
-	// sequence number (the WriteTagged tag).
-	tagRoot = 1
-)
-
 // Options parameterizes Open.
 type Options struct {
 	// Threads is the number of concurrent sessions (thread ids).
@@ -147,7 +139,6 @@ func Open(g *pmem.Group, opts Options) *DB {
 	for i := range db.shards {
 		db.shards[i] = redodb.Open(g.Pool(i+1), redodb.Options{
 			Threads:     opts.Threads,
-			RootSlot:    mapRoot,
 			Variant:     opts.Variant,
 			RingSize:    opts.RingSize,
 			Buffered:    opts.Buffered,

@@ -94,7 +94,7 @@ func (o Op) String() string {
 // Flag bits (the low byte of flags is the response status).
 const (
 	// FlagDurable asks the server not to respond until the write is durable
-	// (a per-request PutDurable/WriteDurable in buffered mode; a no-op on a
+	// (a per-request WriteOptions.Sync in buffered mode; a no-op on a
 	// synchronous server, which is always durable on commit).
 	FlagDurable uint32 = 1 << 8
 	// FlagDetectable routes the write through the exactly-once path: the
