@@ -56,7 +56,6 @@ func main() {
 	flag.Parse()
 
 	mode := ""
-	names := chaos.Engines()
 	switch {
 	case *nested:
 		mode = "-nested"
@@ -64,10 +63,29 @@ func main() {
 		mode = "-corrupt"
 	case *retrystorm:
 		mode = "-retrystorm"
-		names = chaos.StormEngines()
+	}
+	var names []string
+	var lookup func(name string) error
+	if *retrystorm {
+		for _, e := range chaos.StormEngines() {
+			names = append(names, e.Name)
+		}
+		lookup = func(name string) error { _, err := chaos.LookupStorm(name); return err }
+	} else {
+		for _, e := range chaos.Engines() {
+			names = append(names, e.Name)
+		}
+		lookup = func(name string) error { _, err := chaos.Lookup(name); return err }
 	}
 	if *engine != "all" {
 		names = strings.Split(*engine, ",")
+		// Reject every unknown name before the first sweep starts.
+		for _, name := range names {
+			if err := lookup(name); err != nil {
+				fmt.Fprintln(os.Stderr, "crashcheck:", err)
+				os.Exit(2)
+			}
+		}
 	}
 	failed := false
 	report := func(name, label string, err error) {

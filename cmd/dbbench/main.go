@@ -11,7 +11,7 @@
 //	dbbench -json BENCH_pr5.json -valuesize 64,256,1024 -keys 5000 -secs 0.25
 //	dbbench -json BENCH_pr7.json -detect -keys 10000 -secs 0.25
 //	dbbench -json BENCH_pr8.json -sync buffered -depth 1,8,64 -keys 10000 -secs 0.25
-//	dbbench -json BENCH_pr10.json -space 100,1024,8192 -keys 2000
+//	dbbench -json space.json -space 100,1024,8192 -keys 2000
 //	dbbench -trace trace.json -engine Redo-PTM -ops 64
 //
 // -trace runs a bounded single-threaded workload on one PTM engine with
@@ -44,7 +44,7 @@ func main() {
 		optane   = flag.Bool("optane", true, "inject Optane-like pwb/fence latencies")
 		shards   = flag.String("shards", "1,2,4,8", "comma-separated shard counts for the sharding figure")
 		vsizes   = flag.String("valuesize", "", "comma-separated value sizes in bytes: run the bulk-vs-word fillrandom sweep instead of the sharding cells (with -json)")
-		space    = flag.String("space", "", "comma-separated value sizes in bytes: run the arena-vs-legacy allocator space figure instead of the sharding cells (with -json)")
+		space    = flag.String("space", "", "comma-separated value sizes in bytes: run the arena allocator's bytes-per-key space figure instead of the sharding cells (with -json)")
 		detect   = flag.Bool("detect", false, "run the plain-vs-detectable Put overhead cells instead of the sharding cells (with -json)")
 		syncMode = flag.String("sync", "", "\"buffered\": run the group-commit fillrandom sweep (sync baseline + one cell per -depth) instead of the sharding cells (with -json)")
 		depths   = flag.String("depth", "1,8,64", "comma-separated Sync batch depths for -sync=buffered")

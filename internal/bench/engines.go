@@ -27,6 +27,9 @@ type Engine struct {
 	// NewOnPool instantiates (or recovers) the engine over an existing
 	// pool — the crash checker's recovery path.
 	NewOnPool func(threads int, pool *pmem.Pool) ptm.PTM
+	// StaleRanges declares the spans of a pool that committed state does
+	// not reach — the crash checker's corruption targets.
+	StaleRanges func(pool *pmem.Pool) []pmem.Range
 }
 
 // AllEngines returns the paper's full comparison set, fastest-to-slowest in
@@ -72,6 +75,7 @@ func RedoEngine(v redo.Variant) Engine {
 		NewOnPool: func(threads int, pool *pmem.Pool) ptm.PTM {
 			return redo.New(pool, redo.Config{Threads: threads, Variant: v})
 		},
+		StaleRanges: redo.StaleRanges,
 	}
 }
 
@@ -99,6 +103,7 @@ func CXEngine(interpose bool) Engine {
 		NewOnPool: func(threads int, pool *pmem.Pool) ptm.PTM {
 			return cx.New(pool, cx.Config{Threads: threads, Interpose: interpose})
 		},
+		StaleRanges: cx.StaleRanges,
 	}
 }
 
@@ -118,6 +123,7 @@ func OneFileEngine() Engine {
 		NewOnPool: func(threads int, pool *pmem.Pool) ptm.PTM {
 			return onefile.New(pool, onefile.Config{Threads: threads})
 		},
+		StaleRanges: onefile.StaleRanges,
 	}
 }
 
@@ -138,6 +144,7 @@ func RomulusEngine() Engine {
 		NewOnPool: func(threads int, pool *pmem.Pool) ptm.PTM {
 			return romulus.New(pool, romulus.Config{Threads: threads})
 		},
+		StaleRanges: romulus.StaleRanges,
 	}
 }
 
@@ -158,6 +165,7 @@ func PSimEngine() Engine {
 		NewOnPool: func(threads int, pool *pmem.Pool) ptm.PTM {
 			return psim.New(pool, psim.Config{Threads: threads})
 		},
+		StaleRanges: psim.StaleRanges,
 	}
 }
 
@@ -177,5 +185,6 @@ func PMDKEngine() Engine {
 		NewOnPool: func(threads int, pool *pmem.Pool) ptm.PTM {
 			return pmdk.New(pool, pmdk.Config{Threads: threads})
 		},
+		StaleRanges: pmdk.StaleRanges,
 	}
 }

@@ -128,11 +128,12 @@ type BenchEntry struct {
 	ServerP50Ns   int64   `json:"server_p50_ns,omitempty"`
 	ServerP99Ns   int64   `json:"server_p99_ns,omitempty"`
 	Errors        uint64  `json:"errors,omitempty"`
-	// Space sweep fields (PR 10, the Fig-8-style figure): bytes of NVMM per
-	// key after filling ValueSize-byte values under one allocator (Path is
-	// "arena" or "legacy"), and the arena allocator's external fragmentation
-	// — the percentage of claimed span capacity with no live block in it
-	// (always 0 for legacy, which keeps no class breakdown).
+	// Space sweep fields (the Fig-8-style figure): bytes of NVMM per key
+	// after filling ValueSize-byte values (Path is "arena"; the "legacy"
+	// cells of BENCH_pr10.json record the removed power-of-two allocator),
+	// and the arena allocator's external fragmentation — the percentage of
+	// claimed span capacity with no live block in it (0 in the legacy
+	// cells, which had no class breakdown).
 	BytesPerKey float64 `json:"bytes_per_key,omitempty"`
 	FragPct     float64 `json:"frag_pct,omitempty"`
 }

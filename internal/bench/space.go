@@ -5,22 +5,19 @@ import (
 	"repro/internal/redodb"
 )
 
-// Space sweep: the tracked benchmark behind BENCH_pr10.json, the repo's
-// Fig-8-style space figure. Each cell fills a fresh RedoDB with cfg.Keys
-// distinct keys at one payload size under one allocator — the arena
-// allocator ("arena") or the legacy power-of-two baseline ("legacy") — and
-// records bytes of NVMM per key plus the allocator's fragmentation
-// breakdown. The interesting number is the 1 KiB ratio: a 1 KiB value needs
-// 129 words, which the legacy allocator rounds to 256 and the arena
-// allocator to a 160-word class.
+// Space sweep: the repo's Fig-8-style space figure. Each cell fills a fresh
+// RedoDB with cfg.Keys distinct keys at one payload size under the arena
+// allocator and records bytes of NVMM per key plus the allocator's
+// fragmentation breakdown. The interesting number is the 1 KiB cell: a
+// 1 KiB value needs 129 words, which the arena allocator rounds to a
+// 160-word class and the paper's power-of-two allocator rounded to 256 (the
+// "legacy" cells of BENCH_pr10.json, the frozen record of that allocator).
 
-// SpaceEntries runs one cell per (size, allocator) pair.
+// SpaceEntries runs one cell per value size.
 func SpaceEntries(cfg DBConfig, sizes []int, threads int) []BenchEntry {
 	var out []BenchEntry
 	for _, size := range sizes {
-		for _, path := range []string{"legacy", "arena"} {
-			out = append(out, spaceCell(cfg, size, path, threads))
-		}
+		out = append(out, spaceCell(cfg, size, threads))
 	}
 	return out
 }
@@ -28,11 +25,11 @@ func SpaceEntries(cfg DBConfig, sizes []int, threads int) []BenchEntry {
 // spaceCell fills one database and measures its settled space usage. The
 // fill is sequential and untimed: the figure is about bytes, not ops/sec,
 // and a deterministic key set makes the per-key quotient exact.
-func spaceCell(cfg DBConfig, size int, path string, threads int) BenchEntry {
+func spaceCell(cfg DBConfig, size, threads int) BenchEntry {
 	pool := pmem.New(pmem.Config{
 		Mode: pmem.Direct, RegionWords: cfg.Words, Regions: threads + 1, Latency: cfg.Lat,
 	})
-	db := redodb.Open(pool, redodb.Options{Threads: threads, LegacyAlloc: path == "legacy"})
+	db := redodb.Open(pool, redodb.Options{Threads: threads})
 	s := db.Session(0)
 	val := valueOf(size)
 	for i := uint64(0); i < cfg.Keys; i++ {
@@ -40,9 +37,7 @@ func spaceCell(cfg DBConfig, size int, path string, threads int) BenchEntry {
 	}
 	st := db.AllocStats()
 	// External fragmentation: block slots sitting in claimed spans with no
-	// block allocated in them. The legacy format has no class breakdown, so
-	// its entry reports only the in-use quotient (whose per-block
-	// power-of-two rounding is the waste the arena classes remove).
+	// block allocated in them.
 	var capWords, liveWords uint64
 	for _, c := range st.Classes {
 		capWords += c.CapBlocks * c.Size
@@ -58,7 +53,7 @@ func spaceCell(cfg DBConfig, size int, path string, threads int) BenchEntry {
 		Shards:      1,
 		Threads:     threads,
 		ValueSize:   size,
-		Path:        path,
+		Path:        "arena",
 		BytesPerKey: float64(db.NVMUsedBytes()) / float64(cfg.Keys),
 		FragPct:     fragPct,
 	}

@@ -12,36 +12,105 @@ package chaos
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/core/cx"
-	"repro/internal/core/redo"
-	"repro/internal/onefile"
 	"repro/internal/onll"
-	"repro/internal/pmdk"
 	"repro/internal/pmem"
-	"repro/internal/psim"
 	"repro/internal/ptm"
 	"repro/internal/redodb"
 	"repro/internal/rockssim"
-	"repro/internal/romulus"
 	"repro/internal/seqds"
 	"repro/internal/shardeddb"
 )
 
-// Engines lists every sweep target: the nine PTM/PUC constructions, the
-// ONLL one-line-log, the two key-value stores, and the sharded RedoDB
-// front-end at each acceptance shard count (its only multi-pool engine —
-// the shardeddb runners sweep the cross-shard batch coordinator's crash
-// points).
-func Engines() []string {
-	return []string{
-		"RedoOpt-PTM", "RedoTimed-PTM", "Redo-PTM",
-		"CX-PTM", "CX-PUC", "OneFile", "RomulusLR", "PSim-CoW", "PMDK",
-		"ONLL", "redodb", "redodb-bulkval", "redodb-legacyalloc", "rockssim",
-		"shardeddb-1", "shardeddb-2", "shardeddb-8",
-		"redodb-buffered-d2", "redodb-buffered-d8",
-		"shardeddb-buffered-1", "shardeddb-buffered-8",
+// Engine is one crash-sweep target: a row of the engine table every sweep,
+// cmd/crashcheck and the tests look up by name. Group and Runner are
+// factories — every crash run and every recovery takes a fresh one, so no
+// volatile state leaks across a simulated crash.
+type Engine struct {
+	Name string
+	// Group allocates the strict-mode pool group the engine runs on.
+	Group func() *pmem.Group
+	// Runner builds the deterministic workload driver.
+	Runner func() *Runner
+	// Stale declares the spans committed state does not reach — the
+	// corruption sweep's bit-flip targets.
+	Stale func(*pmem.Group) []pmem.GroupRange
+	// BulkStores marks the RedoDB family, which stores byte payloads
+	// through the aggregated bulk path, so its traces must contain
+	// bulk-store events.
+	BulkStores bool
+	// Buffered marks a group-commit engine: its Verify asserts the
+	// buffered durability contract and its traces must narrate epoch seals
+	// and watermark advances.
+	Buffered bool
+}
+
+// Engines lists every sweep target: the nine PTM/PUC constructions of the
+// paper's comparison set (bench.AllEngines), the ONLL one-line-log, the two
+// key-value stores, the sharded RedoDB front-end at each acceptance shard
+// count (its only multi-pool engine — the shardeddb runners sweep the
+// cross-shard batch coordinator's crash points), and the buffered
+// (group-commit) variants of both stores.
+func Engines() []Engine {
+	var out []Engine
+	for _, eng := range bench.AllEngines() {
+		out = append(out, ptmEngine(eng))
+	}
+	return append(out,
+		onllEngine(), redodbEngine(), redodbBulkvalEngine(), rockssimEngine(),
+		shardedEngine(1), shardedEngine(2), shardedEngine(8),
+		bufferedEngine(2), bufferedEngine(8),
+		bufferedShardedEngine(1), bufferedShardedEngine(8),
+	)
+}
+
+// Lookup returns the engine table row named name.
+func Lookup(name string) (Engine, error) {
+	return lookup(Engines(), func(e Engine) string { return e.Name }, "engine", name)
+}
+
+// lookup finds the row named name in a table, or reports an error that
+// lists the known names.
+func lookup[E any](rows []E, nameOf func(E) string, kind, name string) (E, error) {
+	names := make([]string, len(rows))
+	for i, e := range rows {
+		if names[i] = nameOf(e); names[i] == name {
+			return e, nil
+		}
+	}
+	var zero E
+	return zero, fmt.Errorf("chaos: unknown %s %q (known: %s)", kind, name, strings.Join(names, ", "))
+}
+
+// singlePool returns a Group factory for a single-pool engine: one
+// strict-mode pool of the given replica count wrapped in a group (mirroring
+// the factories' replica counts for a single-thread instance).
+func singlePool(regions int) func() *pmem.Group {
+	return func() *pmem.Group {
+		return pmem.NewGroup(pmem.New(pmem.Config{Mode: pmem.Strict, RegionWords: 1 << 14, Regions: regions}))
+	}
+}
+
+// shardedGroup returns a Group factory for the coordinator-plus-shards
+// layout of a sharded front-end.
+func shardedGroup(shards int, buffered bool) func() *pmem.Group {
+	return func() *pmem.Group {
+		return shardeddb.NewGroup(shardeddb.GroupConfig{
+			Shards: shards, Threads: 1, Mode: pmem.Strict, Buffered: buffered,
+		})
+	}
+}
+
+// onPool lifts a single-pool stale-range declaration to the group form.
+func onPool(f func(*pmem.Pool) []pmem.Range) func(*pmem.Group) []pmem.GroupRange {
+	return func(g *pmem.Group) []pmem.GroupRange {
+		var out []pmem.GroupRange
+		for _, r := range f(g.Pool(0)) {
+			out = append(out, pmem.GroupRange{Pool: 0, Range: r})
+		}
+		return out
 	}
 }
 
@@ -58,35 +127,6 @@ func bulkVal(i int) []byte {
 	return v
 }
 
-// shardsOf reports the shard count of a "shardeddb-K" engine name, or 0.
-func shardsOf(name string) int {
-	var k int
-	if _, err := fmt.Sscanf(name, "shardeddb-%d", &k); err == nil && k > 0 {
-		return k
-	}
-	return 0
-}
-
-// bufferedDepthOf reports the group-commit batch depth of a
-// "redodb-buffered-dN" engine name, or 0.
-func bufferedDepthOf(name string) int {
-	var d int
-	if _, err := fmt.Sscanf(name, "redodb-buffered-d%d", &d); err == nil && d > 0 {
-		return d
-	}
-	return 0
-}
-
-// bufferedShardsOf reports the shard count of a "shardeddb-buffered-K"
-// engine name, or 0.
-func bufferedShardsOf(name string) int {
-	var k int
-	if _, err := fmt.Sscanf(name, "shardeddb-buffered-%d", &k); err == nil && k > 0 {
-		return k
-	}
-	return 0
-}
-
 // bufferedSyncDepth is the Sync cadence of the buffered sharded workload.
 const bufferedSyncDepth = 4
 
@@ -101,310 +141,379 @@ type Runner struct {
 	Verify func(completed, n int) error
 }
 
-// NewRunner builds the deterministic workload driver for one engine.
-func NewRunner(name string) (*Runner, error) {
-	if depth := bufferedDepthOf(name); depth > 0 {
-		// Buffered RedoDB under group commit: inserts commit into the
-		// in-flight epoch and the runner seals (Persist) every depth-th
-		// insert, so the sweep's crash points land before, inside and after
-		// every epoch boundary. The durability contract is weaker than the
-		// synchronous engines' — a crash may lose the un-synced commit-order
-		// SUFFIX — so Verify asserts the buffered form: the surviving keys
-		// are a contiguous prefix (never a gap), at least every key covered
-		// by a completed Persist survived, and nothing from the future
-		// appeared.
-		var db *redodb.DB
-		var s *redodb.Session
-		key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
-		return &Runner{
-			Fresh: func(g *pmem.Group) {
-				db = redodb.Open(g.Pool(0), redodb.Options{Threads: 1, Buffered: true, PersistEvery: -1})
-				s = db.Session(0)
-			},
-			Insert: func(i int) {
-				s.Put(key(i), []byte{byte(i)})
-				if (i+1)%depth == 0 {
-					db.Persist()
-				}
-			},
-			Verify: func(completed, n int) error {
-				m := 0
-				for i := 0; i < n; i++ {
-					v, ok := s.Get(key(i))
-					if !ok {
-						// Suffix loss only: once one key is absent, every
-						// later one must be too.
-						for j := i + 1; j < n; j++ {
-							if s.Has(key(j)) {
-								return fmt.Errorf("gap loss: key %d survived but %d did not", j, i)
-							}
+// ptmEngine sweeps one of the paper's PTM/PUC constructions through a
+// persistent list set: insert key i+1 per transaction, and after recovery
+// the set must be a prefix of the workload.
+func ptmEngine(eng bench.Engine) Engine {
+	return Engine{
+		Name:  eng.Name,
+		Group: singlePool(2),
+		Stale: onPool(eng.StaleRanges),
+		Runner: func() *Runner {
+			var p ptm.PTM
+			set := seqds.ListSet{RootSlot: 0}
+			return &Runner{
+				Fresh: func(g *pmem.Group) {
+					p = eng.NewOnPool(1, g.Pool(0))
+					p.Update(0, func(m ptm.Mem) uint64 {
+						if m.Load(ptm.RootAddr(0)) == 0 {
+							set.Init(m)
 						}
-						break
-					}
-					if v[0] != byte(i) {
-						return fmt.Errorf("key %d recovered with wrong value %x", i, v)
-					}
-					m++
-				}
-				synced := depth * (completed / depth)
-				if m < synced {
-					return fmt.Errorf("sealed epoch lost: %d keys survived < %d covered by a completed Persist", m, synced)
-				}
-				if m > completed+1 {
-					return fmt.Errorf("%d keys survived but only %d inserts ran", m, completed+1)
-				}
-				return db.AllocReconcile()
-			},
-		}, nil
-	}
-	if shards := bufferedShardsOf(name); shards > 0 {
-		// Buffered sharded front-end: the same cross-shard batch workload as
-		// "shardeddb-K", with a Sync barrier every bufferedSyncDepth batches.
-		// Batches above the last completed Sync may individually survive or
-		// vanish (a-keys and b-keys scatter independently, so the GLOBAL
-		// insert order is not a single shard's epoch order), but every batch
-		// must recover all-or-nothing and everything below the barrier must
-		// survive.
-		var sdb *shardeddb.DB
-		var s *shardeddb.Session
-		key := func(prefix byte, i int) []byte {
-			return []byte(fmt.Sprintf("%c%03d", prefix, i))
-		}
-		return &Runner{
-			Fresh: func(g *pmem.Group) {
-				sdb = shardeddb.Open(g, shardeddb.Options{Threads: 1, Buffered: true, PersistEvery: -1})
-				s = sdb.Session(0)
-			},
-			Insert: func(i int) {
-				b := &shardeddb.WriteBatch{}
-				b.Put(key('a', i), []byte{byte(i)})
-				b.Put(key('b', i), []byte{byte(i) ^ 0xff})
-				s.Write(b)
-				if (i+1)%bufferedSyncDepth == 0 {
-					s.Sync()
-				}
-			},
-			Verify: func(completed, n int) error {
-				synced := bufferedSyncDepth * (completed / bufferedSyncDepth)
-				applied := 0
-				for i := 0; i < n; i++ {
-					va, oka := s.Get(key('a', i))
-					vb, okb := s.Get(key('b', i))
-					if oka != okb {
-						return fmt.Errorf("batch %d recovered torn (a=%v b=%v)", i, oka, okb)
-					}
-					if !oka {
-						if i < synced {
-							return fmt.Errorf("batch %d lost below the Sync barrier at %d", i, synced)
-						}
-						continue
-					}
-					if va[0] != byte(i) || vb[0] != byte(i)^0xff {
-						return fmt.Errorf("batch %d recovered with wrong values %x/%x", i, va, vb)
-					}
-					applied++
-				}
-				if applied > completed+1 {
-					return fmt.Errorf("%d batches survived but only %d writes ran", applied, completed+1)
-				}
-				return sdb.AllocReconcile()
-			},
-		}, nil
-	}
-	if shards := shardsOf(name); shards > 0 {
-		// The shardeddb workload inserts CROSS-SHARD batches: every insert
-		// writes two keys whose prefixes scatter to different shards, so a
-		// crash point inside the coordinator protocol (publish intent,
-		// per-shard applies, complete) is exercised at every sweep step.
-		// Verify asserts the batches survived all-or-nothing in order.
-		var sdb *shardeddb.DB
-		var s *shardeddb.Session
-		key := func(prefix byte, i int) []byte {
-			return []byte(fmt.Sprintf("%c%03d", prefix, i))
-		}
-		return &Runner{
-			Fresh: func(g *pmem.Group) {
-				sdb = shardeddb.Open(g, shardeddb.Options{Threads: 1})
-				s = sdb.Session(0)
-			},
-			Insert: func(i int) {
-				b := &shardeddb.WriteBatch{}
-				b.Put(key('a', i), []byte{byte(i)})
-				b.Put(key('b', i), []byte{byte(i) ^ 0xff})
-				s.Write(b)
-			},
-			Verify: func(completed, n int) error {
-				applied := 0
-				for i := 0; i < n; i++ {
-					va, oka := s.Get(key('a', i))
-					vb, okb := s.Get(key('b', i))
-					if oka != okb {
-						return fmt.Errorf("batch %d recovered torn (a=%v b=%v)", i, oka, okb)
-					}
-					if !oka {
-						// Inserts are sequential: once one batch is
-						// absent, every later one must be too.
-						for j := i + 1; j < n; j++ {
-							if _, ok := s.Get(key('a', j)); ok {
-								return fmt.Errorf("batch %d survived but %d did not", j, i)
-							}
-							if _, ok := s.Get(key('b', j)); ok {
-								return fmt.Errorf("batch %d survived torn after gap at %d", j, i)
-							}
-						}
-						break
-					}
-					if va[0] != byte(i) || vb[0] != byte(i)^0xff {
-						return fmt.Errorf("batch %d recovered with wrong values %x/%x", i, va, vb)
-					}
-					applied++
-				}
-				if applied < completed {
-					return fmt.Errorf("completed batch lost: %d applied < %d completed", applied, completed)
-				}
-				return sdb.AllocReconcile()
-			},
-		}, nil
-	}
-	switch name {
-	case "redodb-bulkval":
-		// Same store as "redodb" but with multi-line variable-length
-		// values: every insert is an aggregated bulk log record, so the
-		// sweeps exercise bulk replay, range undo and the non-temporal
-		// full-line path at every crash point.
-		var db *redodb.DB
-		var s *redodb.Session
-		return &Runner{
-			Fresh: func(g *pmem.Group) {
-				db = redodb.Open(g.Pool(0), redodb.Options{Threads: 1})
-				s = db.Session(0)
-			},
-			Insert: func(i int) {
-				s.Put([]byte(fmt.Sprintf("k%03d", i)), bulkVal(i))
-			},
-			Verify: func(completed, n int) error {
-				for i := 0; i < completed; i++ {
-					v, ok := s.Get([]byte(fmt.Sprintf("k%03d", i)))
-					if !ok {
-						return fmt.Errorf("completed put %d lost", i)
-					}
-					want := bulkVal(i)
-					if len(v) != len(want) {
-						return fmt.Errorf("put %d recovered %d bytes, want %d", i, len(v), len(want))
-					}
-					for j := range v {
-						if v[j] != want[j] {
-							return fmt.Errorf("put %d corrupt at byte %d", i, j)
-						}
-					}
-				}
-				return db.AllocReconcile()
-			},
-		}, nil
-	case "redodb", "redodb-legacyalloc":
-		// The workload churns a scratch key alongside each insert so the
-		// sweep crashes inside Alloc AND Free paths; Verify then audits the
-		// allocator against the reachable blocks (AllocReconcile) — on the
-		// arena allocator the post-crash reachability pass must have left
-		// zero leaks at every injection point. The -legacyalloc variant
-		// runs the identical workload on the power-of-two baseline, whose
-		// reconcile is vacuous (leak-on-crash is its documented behavior).
-		var db *redodb.DB
-		var s *redodb.Session
-		legacy := name == "redodb-legacyalloc"
-		return &Runner{
-			Fresh: func(g *pmem.Group) {
-				db = redodb.Open(g.Pool(0), redodb.Options{Threads: 1, LegacyAlloc: legacy})
-				s = db.Session(0)
-			},
-			Insert: func(i int) {
-				s.Put([]byte(fmt.Sprintf("k%03d", i)), []byte{byte(i)})
-				s.Put([]byte("scratch"), bulkVal(i))
-				s.Delete([]byte("scratch"))
-			},
-			Verify: func(completed, n int) error {
-				for i := 0; i < completed; i++ {
-					v, ok := s.Get([]byte(fmt.Sprintf("k%03d", i)))
-					if !ok || v[0] != byte(i) {
-						return fmt.Errorf("completed put %d lost", i)
-					}
-				}
-				return db.AllocReconcile()
-			},
-		}, nil
-	case "ONLL":
-		var o *onll.ONLL
-		set := seqds.ListSet{RootSlot: 0}
-		ops := map[uint16]onll.OpFunc{
-			1: func(m ptm.Mem, args []uint64) uint64 {
-				if set.Add(m, args[0]) {
-					return 1
-				}
-				return 0
-			},
-		}
-		return &Runner{
-			Fresh: func(g *pmem.Group) {
-				o = onll.New(g.Pool(0), onll.Config{
-					Threads: 1,
-					Ops:     ops,
-					Init: func(m ptm.Mem, args []uint64) uint64 {
-						set.Init(m)
 						return 0
-					},
-				})
-			},
-			Insert: func(i int) { o.Update(0, 1, uint64(i)+1) },
-			Verify: func(completed, n int) error {
-				keys := seqds.ReadSlice(o, 0, set.Keys)
-				return verifyPrefix(keys, completed, n)
-			},
-		}, nil
-	case "rockssim":
-		var db *rockssim.DB
-		return &Runner{
-			Fresh: func(g *pmem.Group) { db = rockssim.Open(g.Pool(0), rockssim.Options{}) },
-			Insert: func(i int) {
-				db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte{byte(i)})
-			},
-			Verify: func(completed, n int) error {
-				for i := 0; i < completed; i++ {
-					v, ok := db.Get([]byte(fmt.Sprintf("k%03d", i)))
-					if !ok || v[0] != byte(i) {
-						return fmt.Errorf("completed put %d lost", i)
-					}
-				}
-				return nil
-			},
-		}, nil
-	default:
-		eng, err := bench.EngineByName(name)
-		if err != nil {
-			return nil, err
-		}
-		var p ptm.PTM
-		set := seqds.ListSet{RootSlot: 0}
-		return &Runner{
-			Fresh: func(g *pmem.Group) {
-				p = eng.NewOnPool(1, g.Pool(0))
-				p.Update(0, func(m ptm.Mem) uint64 {
-					if m.Load(ptm.RootAddr(0)) == 0 {
-						set.Init(m)
+					})
+				},
+				Insert: func(i int) {
+					p.Update(0, func(m ptm.Mem) uint64 {
+						set.Add(m, uint64(i)+1)
+						return 0
+					})
+				},
+				Verify: func(completed, n int) error {
+					keys := seqds.ReadSlice(p, 0, set.Keys)
+					return verifyPrefix(keys, completed, n)
+				},
+			}
+		},
+	}
+}
+
+// onllEngine sweeps the one-line-log construction through the same list
+// set, registered as an ONLL operation.
+func onllEngine() Engine {
+	return Engine{
+		Name:  "ONLL",
+		Group: singlePool(1),
+		Stale: onPool(onll.StaleRanges),
+		Runner: func() *Runner {
+			var o *onll.ONLL
+			set := seqds.ListSet{RootSlot: 0}
+			ops := map[uint16]onll.OpFunc{
+				1: func(m ptm.Mem, args []uint64) uint64 {
+					if set.Add(m, args[0]) {
+						return 1
 					}
 					return 0
-				})
-			},
-			Insert: func(i int) {
-				p.Update(0, func(m ptm.Mem) uint64 {
-					set.Add(m, uint64(i)+1)
-					return 0
-				})
-			},
-			Verify: func(completed, n int) error {
-				keys := seqds.ReadSlice(p, 0, set.Keys)
-				return verifyPrefix(keys, completed, n)
-			},
-		}, nil
+				},
+			}
+			return &Runner{
+				Fresh: func(g *pmem.Group) {
+					o = onll.New(g.Pool(0), onll.Config{
+						Threads: 1,
+						Ops:     ops,
+						Init: func(m ptm.Mem, args []uint64) uint64 {
+							set.Init(m)
+							return 0
+						},
+					})
+				},
+				Insert: func(i int) { o.Update(0, 1, uint64(i)+1) },
+				Verify: func(completed, n int) error {
+					keys := seqds.ReadSlice(o, 0, set.Keys)
+					return verifyPrefix(keys, completed, n)
+				},
+			}
+		},
+	}
+}
+
+// redodbEngine churns a scratch key alongside each insert so the sweep
+// crashes inside Alloc AND Free paths; Verify then audits the allocator
+// against the reachable blocks (AllocReconcile) — the post-crash
+// reachability pass must have left zero leaks at every injection point.
+func redodbEngine() Engine {
+	return Engine{
+		Name:       "redodb",
+		Group:      singlePool(2),
+		Stale:      onPool(redodb.StaleRanges),
+		BulkStores: true,
+		Runner: func() *Runner {
+			var db *redodb.DB
+			var s *redodb.Session
+			return &Runner{
+				Fresh: func(g *pmem.Group) {
+					db = redodb.Open(g.Pool(0), redodb.Options{Threads: 1})
+					s = db.Session(0)
+				},
+				Insert: func(i int) {
+					s.Put([]byte(fmt.Sprintf("k%03d", i)), []byte{byte(i)})
+					s.Put([]byte("scratch"), bulkVal(i))
+					s.Delete([]byte("scratch"))
+				},
+				Verify: func(completed, n int) error {
+					for i := 0; i < completed; i++ {
+						v, ok := s.Get([]byte(fmt.Sprintf("k%03d", i)))
+						if !ok || v[0] != byte(i) {
+							return fmt.Errorf("completed put %d lost", i)
+						}
+					}
+					return db.AllocReconcile()
+				},
+			}
+		},
+	}
+}
+
+// redodbBulkvalEngine is the same store as "redodb" but with multi-line
+// variable-length values: every insert is an aggregated bulk log record, so
+// the sweeps exercise bulk replay, range undo and the non-temporal
+// full-line path at every crash point.
+func redodbBulkvalEngine() Engine {
+	return Engine{
+		Name:       "redodb-bulkval",
+		Group:      singlePool(2),
+		Stale:      onPool(redodb.StaleRanges),
+		BulkStores: true,
+		Runner: func() *Runner {
+			var db *redodb.DB
+			var s *redodb.Session
+			return &Runner{
+				Fresh: func(g *pmem.Group) {
+					db = redodb.Open(g.Pool(0), redodb.Options{Threads: 1})
+					s = db.Session(0)
+				},
+				Insert: func(i int) {
+					s.Put([]byte(fmt.Sprintf("k%03d", i)), bulkVal(i))
+				},
+				Verify: func(completed, n int) error {
+					for i := 0; i < completed; i++ {
+						v, ok := s.Get([]byte(fmt.Sprintf("k%03d", i)))
+						if !ok {
+							return fmt.Errorf("completed put %d lost", i)
+						}
+						want := bulkVal(i)
+						if len(v) != len(want) {
+							return fmt.Errorf("put %d recovered %d bytes, want %d", i, len(v), len(want))
+						}
+						for j := range v {
+							if v[j] != want[j] {
+								return fmt.Errorf("put %d corrupt at byte %d", i, j)
+							}
+						}
+					}
+					return db.AllocReconcile()
+				},
+			}
+		},
+	}
+}
+
+// rockssimEngine sweeps the RocksDB-on-PM baseline store.
+func rockssimEngine() Engine {
+	return Engine{
+		Name:  "rockssim",
+		Group: singlePool(3),
+		Stale: onPool(rockssim.StaleRanges),
+		Runner: func() *Runner {
+			var db *rockssim.DB
+			return &Runner{
+				Fresh: func(g *pmem.Group) { db = rockssim.Open(g.Pool(0), rockssim.Options{}) },
+				Insert: func(i int) {
+					db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte{byte(i)})
+				},
+				Verify: func(completed, n int) error {
+					for i := 0; i < completed; i++ {
+						v, ok := db.Get([]byte(fmt.Sprintf("k%03d", i)))
+						if !ok || v[0] != byte(i) {
+							return fmt.Errorf("completed put %d lost", i)
+						}
+					}
+					return nil
+				},
+			}
+		},
+	}
+}
+
+// shardKey renders the sharded workloads' key for insert i: the 'a' and 'b'
+// prefixes scatter to different shards.
+func shardKey(prefix byte, i int) []byte {
+	return []byte(fmt.Sprintf("%c%03d", prefix, i))
+}
+
+// shardedPut writes insert i of the sharded workloads: one CROSS-SHARD
+// batch of two keys, so a crash point inside the coordinator protocol
+// (publish intent, per-shard applies, complete) is exercised at every
+// sweep step.
+func shardedPut(s *shardeddb.Session, i int) {
+	b := &shardeddb.WriteBatch{}
+	b.Put(shardKey('a', i), []byte{byte(i)})
+	b.Put(shardKey('b', i), []byte{byte(i) ^ 0xff})
+	s.Write(b)
+}
+
+// shardedEngine is the sharded front-end over shards shards. Verify asserts
+// the cross-shard batches survived all-or-nothing in order.
+func shardedEngine(shards int) Engine {
+	return Engine{
+		Name:       fmt.Sprintf("shardeddb-%d", shards),
+		Group:      shardedGroup(shards, false),
+		Stale:      shardeddb.StaleRanges,
+		BulkStores: true,
+		Runner: func() *Runner {
+			var sdb *shardeddb.DB
+			var s *shardeddb.Session
+			return &Runner{
+				Fresh: func(g *pmem.Group) {
+					sdb = shardeddb.Open(g, shardeddb.Options{Threads: 1})
+					s = sdb.Session(0)
+				},
+				Insert: func(i int) { shardedPut(s, i) },
+				Verify: func(completed, n int) error {
+					applied := 0
+					for i := 0; i < n; i++ {
+						va, oka := s.Get(shardKey('a', i))
+						vb, okb := s.Get(shardKey('b', i))
+						if oka != okb {
+							return fmt.Errorf("batch %d recovered torn (a=%v b=%v)", i, oka, okb)
+						}
+						if !oka {
+							// Inserts are sequential: once one batch is
+							// absent, every later one must be too.
+							for j := i + 1; j < n; j++ {
+								if _, ok := s.Get(shardKey('a', j)); ok {
+									return fmt.Errorf("batch %d survived but %d did not", j, i)
+								}
+								if _, ok := s.Get(shardKey('b', j)); ok {
+									return fmt.Errorf("batch %d survived torn after gap at %d", j, i)
+								}
+							}
+							break
+						}
+						if va[0] != byte(i) || vb[0] != byte(i)^0xff {
+							return fmt.Errorf("batch %d recovered with wrong values %x/%x", i, va, vb)
+						}
+						applied++
+					}
+					if applied < completed {
+						return fmt.Errorf("completed batch lost: %d applied < %d completed", applied, completed)
+					}
+					return sdb.AllocReconcile()
+				},
+			}
+		},
+	}
+}
+
+// bufferedEngine is RedoDB under group commit at batch depth depth: inserts
+// commit into the in-flight epoch and the runner seals (Persist) every
+// depth-th insert, so the sweep's crash points land before, inside and
+// after every epoch boundary. The durability contract is weaker than the
+// synchronous engines' — a crash may lose the un-synced commit-order
+// SUFFIX — so Verify asserts the buffered form: the surviving keys are a
+// contiguous prefix (never a gap), at least every key covered by a
+// completed Persist survived, and nothing from the future appeared.
+func bufferedEngine(depth int) Engine {
+	return Engine{
+		Name: fmt.Sprintf("redodb-buffered-d%d", depth),
+		// Buffered mode needs a third replica: one pinned by the persister,
+		// one carrying curComb, one free for writers.
+		Group:      singlePool(3),
+		Stale:      onPool(redodb.StaleRanges),
+		BulkStores: true,
+		Buffered:   true,
+		Runner: func() *Runner {
+			var db *redodb.DB
+			var s *redodb.Session
+			key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
+			return &Runner{
+				Fresh: func(g *pmem.Group) {
+					db = redodb.Open(g.Pool(0), redodb.Options{Threads: 1, Buffered: true, PersistEvery: -1})
+					s = db.Session(0)
+				},
+				Insert: func(i int) {
+					s.Put(key(i), []byte{byte(i)})
+					if (i+1)%depth == 0 {
+						db.Persist()
+					}
+				},
+				Verify: func(completed, n int) error {
+					m := 0
+					for i := 0; i < n; i++ {
+						v, ok := s.Get(key(i))
+						if !ok {
+							// Suffix loss only: once one key is absent, every
+							// later one must be too.
+							for j := i + 1; j < n; j++ {
+								if s.Has(key(j)) {
+									return fmt.Errorf("gap loss: key %d survived but %d did not", j, i)
+								}
+							}
+							break
+						}
+						if v[0] != byte(i) {
+							return fmt.Errorf("key %d recovered with wrong value %x", i, v)
+						}
+						m++
+					}
+					synced := depth * (completed / depth)
+					if m < synced {
+						return fmt.Errorf("sealed epoch lost: %d keys survived < %d covered by a completed Persist", m, synced)
+					}
+					if m > completed+1 {
+						return fmt.Errorf("%d keys survived but only %d inserts ran", m, completed+1)
+					}
+					return db.AllocReconcile()
+				},
+			}
+		},
+	}
+}
+
+// bufferedShardedEngine is the buffered sharded front-end: the same
+// cross-shard batch workload as shardedEngine, with a Sync barrier every
+// bufferedSyncDepth batches. Batches above the last completed Sync may
+// individually survive or vanish (a-keys and b-keys scatter independently,
+// so the GLOBAL insert order is not a single shard's epoch order), but
+// every batch must recover all-or-nothing and everything below the barrier
+// must survive.
+func bufferedShardedEngine(shards int) Engine {
+	return Engine{
+		Name:       fmt.Sprintf("shardeddb-buffered-%d", shards),
+		Group:      shardedGroup(shards, true),
+		Stale:      shardeddb.StaleRanges,
+		BulkStores: true,
+		Buffered:   true,
+		Runner: func() *Runner {
+			var sdb *shardeddb.DB
+			var s *shardeddb.Session
+			return &Runner{
+				Fresh: func(g *pmem.Group) {
+					sdb = shardeddb.Open(g, shardeddb.Options{Threads: 1, Buffered: true, PersistEvery: -1})
+					s = sdb.Session(0)
+				},
+				Insert: func(i int) {
+					shardedPut(s, i)
+					if (i+1)%bufferedSyncDepth == 0 {
+						s.Sync()
+					}
+				},
+				Verify: func(completed, n int) error {
+					synced := bufferedSyncDepth * (completed / bufferedSyncDepth)
+					applied := 0
+					for i := 0; i < n; i++ {
+						va, oka := s.Get(shardKey('a', i))
+						vb, okb := s.Get(shardKey('b', i))
+						if oka != okb {
+							return fmt.Errorf("batch %d recovered torn (a=%v b=%v)", i, oka, okb)
+						}
+						if !oka {
+							if i < synced {
+								return fmt.Errorf("batch %d lost below the Sync barrier at %d", i, synced)
+							}
+							continue
+						}
+						if va[0] != byte(i) || vb[0] != byte(i)^0xff {
+							return fmt.Errorf("batch %d recovered with wrong values %x/%x", i, va, vb)
+						}
+						applied++
+					}
+					if applied > completed+1 {
+						return fmt.Errorf("%d batches survived but only %d writes ran", applied, completed+1)
+					}
+					return sdb.AllocReconcile()
+				},
+			}
+		},
 	}
 }
 
@@ -419,78 +528,4 @@ func verifyPrefix(keys []uint64, completed, n int) error {
 		}
 	}
 	return nil
-}
-
-// GroupFor allocates the strict-mode pool group for one engine: a single
-// pool wrapped in a group for the single-pool engines (mirroring the
-// factories' replica counts for a single-thread instance), and the
-// coordinator-plus-shards layout for shardeddb.
-func GroupFor(name string) *pmem.Group {
-	if shards := bufferedShardsOf(name); shards > 0 {
-		return shardeddb.NewGroup(shardeddb.GroupConfig{
-			Shards: shards, Threads: 1, Mode: pmem.Strict, Buffered: true,
-		})
-	}
-	if shards := shardsOf(name); shards > 0 {
-		return shardeddb.NewGroup(shardeddb.GroupConfig{
-			Shards: shards, Threads: 1, Mode: pmem.Strict,
-		})
-	}
-	regions := 2
-	switch name {
-	case "rockssim":
-		regions = 3
-	case "ONLL":
-		regions = 1
-	}
-	if bufferedDepthOf(name) > 0 {
-		// Buffered mode needs a third replica: one pinned by the persister,
-		// one carrying curComb, one free for writers.
-		regions = 3
-	}
-	pool := pmem.New(pmem.Config{Mode: pmem.Strict, RegionWords: 1 << 14, Regions: regions})
-	return pmem.NewGroup(pool)
-}
-
-// onPool lifts a single-pool stale-range declaration to the group form.
-func onPool(f func(*pmem.Pool) []pmem.Range) func(*pmem.Group) []pmem.GroupRange {
-	return func(g *pmem.Group) []pmem.GroupRange {
-		var out []pmem.GroupRange
-		for _, r := range f(g.Pool(0)) {
-			out = append(out, pmem.GroupRange{Pool: 0, Range: r})
-		}
-		return out
-	}
-}
-
-// StaleRangesFor resolves the engine's declaration of which spans committed
-// state does not reach — the corruption sweep's bit-flip targets.
-func StaleRangesFor(name string) (func(*pmem.Group) []pmem.GroupRange, error) {
-	if shardsOf(name) > 0 || bufferedShardsOf(name) > 0 {
-		return shardeddb.StaleRanges, nil
-	}
-	if bufferedDepthOf(name) > 0 {
-		return onPool(redodb.StaleRanges), nil
-	}
-	switch name {
-	case "RedoOpt-PTM", "RedoTimed-PTM", "Redo-PTM":
-		return onPool(redo.StaleRanges), nil
-	case "CX-PTM", "CX-PUC":
-		return onPool(cx.StaleRanges), nil
-	case "OneFile":
-		return onPool(onefile.StaleRanges), nil
-	case "RomulusLR":
-		return onPool(romulus.StaleRanges), nil
-	case "PSim-CoW":
-		return onPool(psim.StaleRanges), nil
-	case "PMDK":
-		return onPool(pmdk.StaleRanges), nil
-	case "ONLL":
-		return onPool(onll.StaleRanges), nil
-	case "redodb", "redodb-bulkval", "redodb-legacyalloc":
-		return onPool(redodb.StaleRanges), nil
-	case "rockssim":
-		return onPool(rockssim.StaleRanges), nil
-	}
-	return nil, fmt.Errorf("chaos: no stale-range map for engine %q", name)
 }

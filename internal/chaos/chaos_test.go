@@ -1,6 +1,10 @@
 package chaos
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
 // fastEngines is a cheap representative subset for smoke tests: one
 // replica-based PTM, the one-line log, a KV store, and the multi-pool
@@ -47,14 +51,6 @@ func TestCorruptionSweepSmoke(t *testing.T) {
 	}
 }
 
-// bufferedEngines are the relaxed-durability sweep targets: RedoDB group
-// commit at two batch depths and the buffered sharded front-end at the two
-// acceptance shard counts.
-var bufferedEngines = []string{
-	"redodb-buffered-d2", "redodb-buffered-d8",
-	"shardeddb-buffered-1", "shardeddb-buffered-8",
-}
-
 // TestBufferedEpochBoundarySweep crashes the buffered engines at EVERY
 // persistent-memory instruction boundary (stride 1) under both crash models.
 // The workload seals an epoch every few inserts, so the sweep hits every
@@ -62,7 +58,11 @@ var bufferedEngines = []string{
 // buffered Verify asserts recovery never panics, never loses a sealed
 // epoch, and never recovers a gapped suffix.
 func TestBufferedEpochBoundarySweep(t *testing.T) {
-	for _, name := range bufferedEngines {
+	for _, e := range Engines() {
+		if !e.Buffered {
+			continue
+		}
+		name := e.Name
 		for _, adv := range []bool{false, true} {
 			crashes, err := Sweep(name, Options{Ops: 8, Stride: 1, Adversarial: adv})
 			if err != nil {
@@ -107,14 +107,52 @@ func TestBufferedCorruptionSweepSmoke(t *testing.T) {
 	}
 }
 
-func TestStaleRangesForEveryEngine(t *testing.T) {
-	for _, name := range Engines() {
-		if _, err := StaleRangesFor(name); err != nil {
-			t.Errorf("%s: %v", name, err)
+// TestEngineTable pins the crash-sweep engine table: names are unique, every
+// row is complete, the row set is exactly the acceptance list (crashcheck
+// output and ci.sh's -engine patterns depend on the names), and an unknown
+// name is an error that lists the known ones.
+func TestEngineTable(t *testing.T) {
+	want := []string{
+		"RedoOpt-PTM", "RedoTimed-PTM", "Redo-PTM",
+		"CX-PTM", "CX-PUC", "OneFile", "RomulusLR", "PSim-CoW", "PMDK",
+		"ONLL", "redodb", "redodb-bulkval", "rockssim",
+		"shardeddb-1", "shardeddb-2", "shardeddb-8",
+		"redodb-buffered-d2", "redodb-buffered-d8",
+		"shardeddb-buffered-1", "shardeddb-buffered-8",
+	}
+	var got []string
+	seen := map[string]bool{}
+	for _, e := range Engines() {
+		if seen[e.Name] {
+			t.Errorf("duplicate engine name %q", e.Name)
+		}
+		seen[e.Name] = true
+		got = append(got, e.Name)
+		if e.Group == nil || e.Runner == nil || e.Stale == nil {
+			t.Errorf("%s: incomplete row (Group %v, Runner %v, Stale %v)",
+				e.Name, e.Group != nil, e.Runner != nil, e.Stale != nil)
+		}
+		if r, err := Lookup(e.Name); err != nil || r.Name != e.Name {
+			t.Errorf("Lookup(%s) = %q, %v", e.Name, r.Name, err)
 		}
 	}
-	if _, err := StaleRangesFor("nope"); err == nil {
-		t.Error("StaleRangesFor(nope) did not fail")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("engine table = %v\nwant %v", got, want)
+	}
+	_, err := Lookup("nope")
+	if err == nil || !strings.Contains(err.Error(), "shardeddb-buffered-8") {
+		t.Errorf("Lookup(nope) = %v, want an error listing the known engines", err)
+	}
+
+	seen = map[string]bool{}
+	for _, e := range StormEngines() {
+		if seen[e.Name] || e.Group == nil || e.Runner == nil {
+			t.Errorf("storm engine %q: duplicate or incomplete row", e.Name)
+		}
+		seen[e.Name] = true
+	}
+	if _, err := LookupStorm("nope"); err == nil || !strings.Contains(err.Error(), "detect-redodb") {
+		t.Errorf("LookupStorm(nope) = %v, want an error listing the known engines", err)
 	}
 }
 

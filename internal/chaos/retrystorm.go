@@ -45,10 +45,25 @@ func pointErr(name string, o Options, first, second int64, err error) error {
 	}
 }
 
+// StormEngine is one retry-storm sweep target: a row of the storm engine
+// table, looked up by name like Engine.
+type StormEngine struct {
+	Name string
+	// Group allocates the strict-mode pool group the engine runs on.
+	Group func() *pmem.Group
+	// Runner builds the deterministic retry-storm workload driver.
+	Runner func() *StormRunner
+}
+
 // StormEngines lists the retry-storm sweep targets: the detectable session
 // API on RedoDB and on the sharded front-end at the acceptance shard counts.
-func StormEngines() []string {
-	return []string{"detect-redodb", "detect-shardeddb-1", "detect-shardeddb-8"}
+func StormEngines() []StormEngine {
+	return []StormEngine{stormRedodbEngine(), stormShardedEngine(1), stormShardedEngine(8)}
+}
+
+// LookupStorm returns the storm engine table row named name.
+func LookupStorm(name string) (StormEngine, error) {
+	return lookup(StormEngines(), func(e StormEngine) string { return e.Name }, "retry-storm engine", name)
 }
 
 // stormAckEvery is the acking cadence of the storm workload: every fifth
@@ -71,106 +86,97 @@ type StormRunner struct {
 	Stats      func() (receipts, maxSeq, acked uint64)
 }
 
-// stormShardsOf reports the shard count of a "detect-shardeddb-K" engine
-// name, or 0.
-func stormShardsOf(name string) int {
-	var k int
-	if _, err := fmt.Sscanf(name, "detect-shardeddb-%d", &k); err == nil && k > 0 {
-		return k
-	}
-	return 0
-}
-
-// stormGroup allocates the strict-mode pool group for one storm engine.
-func stormGroup(name string) *pmem.Group {
-	if shards := stormShardsOf(name); shards > 0 {
-		return shardeddb.NewGroup(shardeddb.GroupConfig{
-			Shards: shards, Threads: 1, Mode: pmem.Strict,
-		})
-	}
-	pool := pmem.New(pmem.Config{Mode: pmem.Strict, RegionWords: 1 << 14, Regions: 2})
-	return pmem.NewGroup(pool)
-}
-
-// NewStormRunner builds the deterministic retry-storm workload for one
-// engine. Requests are single-key detectable puts on redodb; on shardeddb
+// Storm requests are single-key detectable puts on redodb; on shardeddb
 // each request is a detectable two-key batch whose prefixes scatter across
 // shards, so every crash point inside the coordinator's intent protocol is
 // exercised with a receipt in flight.
-func NewStormRunner(name string) (*StormRunner, error) {
-	if shards := stormShardsOf(name); shards > 0 {
-		var s *shardeddb.Session
-		key := func(prefix byte, seq uint64) []byte {
-			return []byte(fmt.Sprintf("%c-storm%03d", prefix, seq))
-		}
-		return &StormRunner{
-			Fresh: func(g *pmem.Group) {
-				s = shardeddb.Open(g, shardeddb.Options{Threads: 1}).Session(0)
-			},
-			Apply: func(seq uint64) bool {
-				b := &shardeddb.WriteBatch{}
-				b.Put(key('a', seq), []byte{byte(seq)})
-				b.Put(key('b', seq), []byte{byte(seq) ^ 0xff})
-				applied, err := s.Apply(b, shardeddb.WriteOptions{Client: stormClient, Seq: seq})
-				if err != nil {
-					panic(err)
-				}
-				return applied
-			},
-			Ack:        func(upto uint64) { s.AckApplied(stormClient, upto) },
-			WasApplied: func(seq uint64) bool { return s.WasApplied(stormClient, seq) },
-			Verify: func(seq uint64, applied bool) error {
-				va, oka := s.Get(key('a', seq))
-				vb, okb := s.Get(key('b', seq))
-				if oka != okb {
-					return fmt.Errorf("request %d recovered torn (a=%v b=%v)", seq, oka, okb)
-				}
-				if oka != applied {
-					return fmt.Errorf("request %d: receipt says applied=%v but present=%v",
-						seq, applied, oka)
-				}
-				if applied && (va[0] != byte(seq) || vb[0] != byte(seq)^0xff) {
-					return fmt.Errorf("request %d recovered with wrong values %x/%x", seq, va, vb)
-				}
-				return nil
-			},
-			Stats: func() (uint64, uint64, uint64) { return s.DetectStats(stormClient) },
-		}, nil
+
+// stormShardedEngine is the retry-storm workload on the sharded front-end
+// over shards shards.
+func stormShardedEngine(shards int) StormEngine {
+	return StormEngine{
+		Name:  fmt.Sprintf("detect-shardeddb-%d", shards),
+		Group: shardedGroup(shards, false),
+		Runner: func() *StormRunner {
+			var s *shardeddb.Session
+			key := func(prefix byte, seq uint64) []byte {
+				return []byte(fmt.Sprintf("%c-storm%03d", prefix, seq))
+			}
+			return &StormRunner{
+				Fresh: func(g *pmem.Group) {
+					s = shardeddb.Open(g, shardeddb.Options{Threads: 1}).Session(0)
+				},
+				Apply: func(seq uint64) bool {
+					b := &shardeddb.WriteBatch{}
+					b.Put(key('a', seq), []byte{byte(seq)})
+					b.Put(key('b', seq), []byte{byte(seq) ^ 0xff})
+					applied, err := s.Apply(b, shardeddb.WriteOptions{Client: stormClient, Seq: seq})
+					if err != nil {
+						panic(err)
+					}
+					return applied
+				},
+				Ack:        func(upto uint64) { s.AckApplied(stormClient, upto) },
+				WasApplied: func(seq uint64) bool { return s.WasApplied(stormClient, seq) },
+				Verify: func(seq uint64, applied bool) error {
+					va, oka := s.Get(key('a', seq))
+					vb, okb := s.Get(key('b', seq))
+					if oka != okb {
+						return fmt.Errorf("request %d recovered torn (a=%v b=%v)", seq, oka, okb)
+					}
+					if oka != applied {
+						return fmt.Errorf("request %d: receipt says applied=%v but present=%v",
+							seq, applied, oka)
+					}
+					if applied && (va[0] != byte(seq) || vb[0] != byte(seq)^0xff) {
+						return fmt.Errorf("request %d recovered with wrong values %x/%x", seq, va, vb)
+					}
+					return nil
+				},
+				Stats: func() (uint64, uint64, uint64) { return s.DetectStats(stormClient) },
+			}
+		},
 	}
-	switch name {
-	case "detect-redodb":
-		var s *redodb.Session
-		key := func(seq uint64) []byte { return []byte(fmt.Sprintf("storm%03d", seq)) }
-		return &StormRunner{
-			Fresh: func(g *pmem.Group) {
-				s = redodb.Open(g.Pool(0), redodb.Options{Threads: 1}).Session(0)
-			},
-			Apply: func(seq uint64) bool {
-				b := &redodb.WriteBatch{}
-				b.Put(key(seq), []byte{byte(seq)})
-				applied, err := s.Apply(b, redodb.WriteOptions{Client: stormClient, Seq: seq})
-				if err != nil {
-					panic(err)
-				}
-				return applied
-			},
-			Ack:        func(upto uint64) { s.AckApplied(stormClient, upto) },
-			WasApplied: func(seq uint64) bool { return s.WasApplied(stormClient, seq) },
-			Verify: func(seq uint64, applied bool) error {
-				v, ok := s.Get(key(seq))
-				if ok != applied {
-					return fmt.Errorf("request %d: receipt says applied=%v but present=%v",
-						seq, applied, ok)
-				}
-				if applied && v[0] != byte(seq) {
-					return fmt.Errorf("request %d recovered with wrong value %x", seq, v)
-				}
-				return nil
-			},
-			Stats: func() (uint64, uint64, uint64) { return s.DetectStats(stormClient) },
-		}, nil
+}
+
+// stormRedodbEngine is the retry-storm workload on unsharded RedoDB.
+func stormRedodbEngine() StormEngine {
+	return StormEngine{
+		Name:  "detect-redodb",
+		Group: singlePool(2),
+		Runner: func() *StormRunner {
+			var s *redodb.Session
+			key := func(seq uint64) []byte { return []byte(fmt.Sprintf("storm%03d", seq)) }
+			return &StormRunner{
+				Fresh: func(g *pmem.Group) {
+					s = redodb.Open(g.Pool(0), redodb.Options{Threads: 1}).Session(0)
+				},
+				Apply: func(seq uint64) bool {
+					b := &redodb.WriteBatch{}
+					b.Put(key(seq), []byte{byte(seq)})
+					applied, err := s.Apply(b, redodb.WriteOptions{Client: stormClient, Seq: seq})
+					if err != nil {
+						panic(err)
+					}
+					return applied
+				},
+				Ack:        func(upto uint64) { s.AckApplied(stormClient, upto) },
+				WasApplied: func(seq uint64) bool { return s.WasApplied(stormClient, seq) },
+				Verify: func(seq uint64, applied bool) error {
+					v, ok := s.Get(key(seq))
+					if ok != applied {
+						return fmt.Errorf("request %d: receipt says applied=%v but present=%v",
+							seq, applied, ok)
+					}
+					if applied && v[0] != byte(seq) {
+						return fmt.Errorf("request %d recovered with wrong value %x", seq, v)
+					}
+					return nil
+				},
+				Stats: func() (uint64, uint64, uint64) { return s.DetectStats(stormClient) },
+			}
+		},
 	}
-	return nil, fmt.Errorf("chaos: unknown retry-storm engine %q", name)
 }
 
 // RetryStorm is the exactly-once crash sweep: run the detectable workload
@@ -184,6 +190,10 @@ func NewStormRunner(name string) (*StormRunner, error) {
 // no matter where the crash landed. Returns the number of crash points
 // explored.
 func RetryStorm(name string, o Options) (int, error) {
+	e, err := LookupStorm(name)
+	if err != nil {
+		return 0, err
+	}
 	o = o.withDefaults()
 	stride := o.Stride
 	if stride <= 0 {
@@ -192,7 +202,7 @@ func RetryStorm(name string, o Options) (int, error) {
 	rng := rand.New(rand.NewSource(o.Seed))
 	crashes := 0
 	for fail := int64(1); ; fail += stride {
-		crashed, err := stormPoint(name, o, rng, fail)
+		crashed, err := stormPoint(e, o, rng, fail)
 		if err != nil {
 			return crashes, pointErr(name, o, fail, 0, err)
 		}
@@ -209,9 +219,13 @@ func CheckStormPoint(name string, o Options, fail int64) error {
 	if fail <= 0 {
 		return nil
 	}
+	e, err := LookupStorm(name)
+	if err != nil {
+		return err
+	}
 	o = o.withDefaults()
 	rng := rand.New(rand.NewSource(o.Seed))
-	if _, err := stormPoint(name, o, rng, fail); err != nil {
+	if _, err := stormPoint(e, o, rng, fail); err != nil {
 		return pointErr(name, o, fail, 0, err)
 	}
 	return nil
@@ -219,12 +233,8 @@ func CheckStormPoint(name string, o Options, fail int64) error {
 
 // stormPoint runs the storm workload with a failure armed fail instructions
 // in, and — if it fired — recovers and runs the full retry protocol.
-func stormPoint(name string, o Options, rng *rand.Rand, fail int64) (crashed bool, err error) {
-	g := stormGroup(name)
-	r, err := NewStormRunner(name)
-	if err != nil {
-		return false, err
-	}
+func stormPoint(e StormEngine, o Options, rng *rand.Rand, fail int64) (crashed bool, err error) {
+	g, r := e.Group(), e.Runner()
 	completed := 0
 	crashed, cerr := run(func() {
 		r.Fresh(g)
@@ -249,10 +259,7 @@ func stormPoint(name string, o Options, rng *rand.Rand, fail int64) (crashed boo
 	}
 	crash(g, o.Adversarial, rng)
 
-	r2, err := NewStormRunner(name)
-	if err != nil {
-		return true, err
-	}
+	r2 := e.Runner()
 	if _, cerr := run(func() { r2.Fresh(g) }); cerr != nil {
 		return true, fmt.Errorf("recovery reported corruption: %w", cerr)
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 func TestRetryStormSmoke(t *testing.T) {
-	for _, name := range StormEngines() {
+	for _, e := range StormEngines() {
 		for _, adv := range []bool{false, true} {
-			name, adv := name, adv
+			name, adv := e.Name, adv
 			sub := name
 			if adv {
 				sub += "/adversarial"

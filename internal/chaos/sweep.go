@@ -102,12 +102,8 @@ func workload(g *pmem.Group, r *Runner, n int, fail int64) (completed int, crash
 // MeasureEvents counts the persistent-memory events one full un-crashed
 // workload issues, including initial formatting: it arms a failure counter
 // too large to fire and reads back what remains.
-func MeasureEvents(name string, ops int) (int64, error) {
-	g := GroupFor(name)
-	r, err := NewRunner(name)
-	if err != nil {
-		return 0, err
-	}
+func MeasureEvents(e Engine, ops int) int64 {
+	g, r := e.Group(), e.Runner()
 	const huge = int64(1) << 60
 	r.Fresh(g)
 	g.InjectFailure(huge)
@@ -116,7 +112,7 @@ func MeasureEvents(name string, ops int) (int64, error) {
 	}
 	n := huge - g.InjectRemaining()
 	g.InjectFailure(-1)
-	return n, nil
+	return n
 }
 
 // Sweep is the classic single-crash sweep: run the workload with a failure
@@ -125,6 +121,10 @@ func MeasureEvents(name string, ops int) (int64, error) {
 // crash points explored; the sweep ends when the workload outruns the
 // failure point.
 func Sweep(name string, o Options) (int, error) {
+	e, err := Lookup(name)
+	if err != nil {
+		return 0, err
+	}
 	o = o.withDefaults()
 	stride := o.Stride
 	if stride <= 0 {
@@ -133,12 +133,8 @@ func Sweep(name string, o Options) (int, error) {
 	rng := rand.New(rand.NewSource(o.Seed))
 	crashes := 0
 	for fail := int64(1); ; fail += stride {
-		g := GroupFor(name)
-		r, err := NewRunner(name)
-		if err != nil {
-			return crashes, err
-		}
-		completed, crashed, err := workload(g, r, o.Ops, fail)
+		g := e.Group()
+		completed, crashed, err := workload(g, e.Runner(), o.Ops, fail)
 		if err != nil {
 			return crashes, pointErr(name, o, fail, 0, err)
 		}
@@ -151,10 +147,7 @@ func Sweep(name string, o Options) (int, error) {
 		crashes++
 		crash(g, o.Adversarial, rng)
 		g.InjectFailure(-1)
-		r2, err := NewRunner(name)
-		if err != nil {
-			return crashes, err
-		}
+		r2 := e.Runner()
 		if _, cerr := run(func() { r2.Fresh(g) }); cerr != nil {
 			return crashes, pointErr(name, o, fail, 0, fmt.Errorf("recovery reported corruption: %w", cerr))
 		}
@@ -172,21 +165,20 @@ func Sweep(name string, o Options) (int, error) {
 // was executed end-to-end under the armed counter. Returns the number of
 // pairs explored.
 func NestedSweep(name string, o Options) (int, error) {
+	e, err := Lookup(name)
+	if err != nil {
+		return 0, err
+	}
 	o = o.withDefaults()
 	stride1 := o.Stride
 	if stride1 <= 0 {
-		events, err := MeasureEvents(name, o.Ops)
-		if err != nil {
-			return 0, err
-		}
+		events := MeasureEvents(e, o.Ops)
 		// A lean engine (ONLL persists one line per insert) may issue fewer
 		// events than the target point count; grow the workload until every
 		// instruction boundary still yields enough first points.
 		for events < nestedFirstPoints && o.Ops < 1<<12 {
 			o.Ops *= 2
-			if events, err = MeasureEvents(name, o.Ops); err != nil {
-				return 0, err
-			}
+			events = MeasureEvents(e, o.Ops)
 		}
 		stride1 = events / nestedFirstPoints
 		if stride1 < 1 {
@@ -205,12 +197,8 @@ func NestedSweep(name string, o Options) (int, error) {
 	// many thousands of pairs it explores.
 	var scratch *pmem.Group
 	for first := int64(1); ; first += stride1 {
-		g := GroupFor(name)
-		r, err := NewRunner(name)
-		if err != nil {
-			return pairs, err
-		}
-		completed, crashed, err := workload(g, r, o.Ops, first)
+		g := e.Group()
+		completed, crashed, err := workload(g, e.Runner(), o.Ops, first)
 		if err != nil {
 			return pairs, pointErr(name, o, first, 0, err)
 		}
@@ -228,7 +216,7 @@ func NestedSweep(name string, o Options) (int, error) {
 				g.CloneInto(scratch)
 			}
 			pairs++
-			done, err := nestedRecover(name, scratch, second, o.Adversarial, rng, completed, o.Ops)
+			done, err := nestedRecover(e, scratch, second, o.Adversarial, rng, completed, o.Ops)
 			if err != nil {
 				return pairs, pointErr(name, o, first, second, err)
 			}
@@ -243,11 +231,8 @@ func NestedSweep(name string, o Options) (int, error) {
 // point fires mid-recovery, the pool is crashed again and recovered to
 // completion. Either way the final state is verified. done reports that
 // recovery ran to completion without firing — the inner sweep is exhausted.
-func nestedRecover(name string, g *pmem.Group, second int64, adversarial bool, rng *rand.Rand, completed, n int) (done bool, err error) {
-	r, err := NewRunner(name)
-	if err != nil {
-		return false, err
-	}
+func nestedRecover(e Engine, g *pmem.Group, second int64, adversarial bool, rng *rand.Rand, completed, n int) (done bool, err error) {
+	r := e.Runner()
 	crashed, cerr := run(func() {
 		g.InjectFailure(second)
 		r.Fresh(g)
@@ -258,9 +243,7 @@ func nestedRecover(name string, g *pmem.Group, second int64, adversarial bool, r
 	}
 	if crashed {
 		crash(g, adversarial, rng)
-		if r, err = NewRunner(name); err != nil {
-			return false, err
-		}
+		r = e.Runner()
 		if _, cerr := run(func() { r.Fresh(g) }); cerr != nil {
 			return false, fmt.Errorf("second recovery reported corruption: %w", cerr)
 		}
@@ -278,14 +261,14 @@ func CheckPair(name string, o Options, first, second int64) error {
 	if first <= 0 || second <= 0 {
 		return nil
 	}
-	o = o.withDefaults()
-	rng := rand.New(rand.NewSource(o.Seed))
-	g := GroupFor(name)
-	r, err := NewRunner(name)
+	e, err := Lookup(name)
 	if err != nil {
 		return err
 	}
-	completed, crashed, err := workload(g, r, o.Ops, first)
+	o = o.withDefaults()
+	rng := rand.New(rand.NewSource(o.Seed))
+	g := e.Group()
+	completed, crashed, err := workload(g, e.Runner(), o.Ops, first)
 	if err != nil {
 		return err
 	}
@@ -293,7 +276,7 @@ func CheckPair(name string, o Options, first, second int64) error {
 		return nil
 	}
 	crash(g, o.Adversarial, rng)
-	_, err = nestedRecover(name, g, second, o.Adversarial, rng, completed, o.Ops)
+	_, err = nestedRecover(e, g, second, o.Adversarial, rng, completed, o.Ops)
 	return err
 }
 
@@ -304,14 +287,14 @@ func CheckPair(name string, o Options, first, second int64) error {
 // successful recovery with a wrong answer, fails the sweep. Returns the
 // number of bit flips exercised.
 func CorruptionSweep(name string, o Options) (int, error) {
+	e, err := Lookup(name)
+	if err != nil {
+		return 0, err
+	}
 	o = o.withDefaults()
 	stride := o.Stride
 	if stride <= 0 {
 		stride = 7
-	}
-	ranges, err := StaleRangesFor(name)
-	if err != nil {
-		return 0, err
 	}
 	rng := rand.New(rand.NewSource(o.Seed))
 	flips := 0
@@ -319,12 +302,8 @@ func CorruptionSweep(name string, o Options) (int, error) {
 	// experiment instead of cloning per flip.
 	var scratch *pmem.Group
 	for fail := int64(1); ; fail += stride {
-		g := GroupFor(name)
-		r, err := NewRunner(name)
-		if err != nil {
-			return flips, err
-		}
-		completed, crashed, err := workload(g, r, o.Ops, fail)
+		g := e.Group()
+		completed, crashed, err := workload(g, e.Runner(), o.Ops, fail)
 		if err != nil {
 			return flips, pointErr(name, o, fail, 0, err)
 		}
@@ -333,7 +312,7 @@ func CorruptionSweep(name string, o Options) (int, error) {
 		}
 		crash(g, o.Adversarial, rng)
 		g.InjectFailure(-1)
-		stale := ranges(g)
+		stale := e.Stale(g)
 		var total uint64
 		for _, rg := range stale {
 			total += rg.Words
@@ -350,10 +329,7 @@ func CorruptionSweep(name string, o Options) (int, error) {
 			pi, region, addr := pickWord(stale, uint64(rng.Int63n(int64(total))))
 			scratch.Pool(pi).FlipBit(region, addr, uint(rng.Intn(64)))
 			flips++
-			r2, err := NewRunner(name)
-			if err != nil {
-				return flips, err
-			}
+			r2 := e.Runner()
 			crashed2, cerr := run(func() { r2.Fresh(scratch) })
 			if crashed2 {
 				return flips, pointErr(name, o, fail, 0, fmt.Errorf("flip %d: spurious power failure", k))

@@ -28,16 +28,13 @@ const traceOps = 24
 // checker must accept the trace. ci.sh runs one engine of this test under
 // -race as the bounded trace-parity step.
 func TestTraceStatsParity(t *testing.T) {
-	for _, name := range Engines() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			g := GroupFor(name)
+	for _, e := range Engines() {
+		e := e
+		t.Run(e.Name, func(t *testing.T) {
+			g := e.Group()
 			tr := obs.NewTracer(1 << 19)
 			g.SetTracer(tr)
-			r, err := NewRunner(name)
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := e.Runner()
 			r.Fresh(g)
 			for i := 0; i < traceOps; i++ {
 				r.Insert(i)
@@ -72,19 +69,13 @@ func TestTraceStatsParity(t *testing.T) {
 			// The RedoDB family stores byte payloads through the bulk path
 			// by default (even 1-byte values: a 2-word StoreWords), so its
 			// traces must contain aggregated bulk-store events.
-			switch name {
-			case "redodb", "redodb-bulkval", "shardeddb-1", "shardeddb-2", "shardeddb-8":
-				if kinds[obs.KindBulkStore] == 0 {
-					t.Errorf("no bulk-store events — the aggregated path is not live on %s", name)
-				}
+			if e.BulkStores && kinds[obs.KindBulkStore] == 0 {
+				t.Errorf("no bulk-store events — the aggregated path is not live on %s", e.Name)
 			}
 			// Buffered engines must narrate their group-commit cycle: epoch
 			// seals and watermark advances (whose monotonicity the ordering
-			// checker above just verified), and still use the bulk path.
-			if bufferedDepthOf(name) > 0 || bufferedShardsOf(name) > 0 {
-				if kinds[obs.KindBulkStore] == 0 {
-					t.Errorf("no bulk-store events — the aggregated path is not live on %s", name)
-				}
+			// checker above just verified).
+			if e.Buffered {
 				if kinds[obs.KindEpochSeal] == 0 || kinds[obs.KindWatermark] == 0 {
 					t.Errorf("buffered engine emitted no epoch-seal/watermark events: %v", kinds)
 				}
@@ -100,20 +91,16 @@ func TestTraceStatsParity(t *testing.T) {
 // cumulative trace still matches the cumulative stats exactly and the whole
 // crash-spanning trace passes the ordering checker.
 func TestTraceParityUnderCrashInjection(t *testing.T) {
-	const name = "redodb"
-	events, err := MeasureEvents(name, traceOps)
+	e, err := Lookup("redodb")
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := MeasureEvents(e, traceOps)
 
-	g := GroupFor(name)
+	g := e.Group()
 	tr := obs.NewTracer(1 << 19)
 	g.SetTracer(tr)
-	r, err := NewRunner(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	completed, crashed, err := workload(g, r, traceOps, events/2)
+	completed, crashed, err := workload(g, e.Runner(), traceOps, events/2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +110,7 @@ func TestTraceParityUnderCrashInjection(t *testing.T) {
 	g.Crash(pmem.CrashConservative, nil)
 	g.InjectFailure(-1)
 
-	r2, err := NewRunner(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := e.Runner()
 	r2.Fresh(g)
 	if err := r2.Verify(completed, traceOps); err != nil {
 		t.Fatal(err)

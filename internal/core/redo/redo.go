@@ -201,11 +201,6 @@ type Config struct {
 	// one for curComb, one pinned durable, the rest for writers).
 	// Implies DeferFlush.
 	Buffered bool
-	// LegacyAlloc formats fresh heaps with the legacy power-of-two
-	// allocator instead of the arena allocator: the Fig-8 space baseline.
-	// Recovery follows the on-media magic, so reopening an existing heap
-	// ignores this.
-	LegacyAlloc bool
 }
 
 // Redo is the engine behind Redo-PTM, RedoTimed-PTM and RedoOpt-PTM.
@@ -361,11 +356,7 @@ func New(pool *pmem.Pool, cfg Config) *Redo {
 		pool.PSync()
 		pool.TraceEvent(obs.KindHeaderPublish, -1, -1, headerSlot, 1, 0)
 	} else {
-		if cfg.LegacyAlloc {
-			palloc.FormatLegacy(directMem{e.combs[0].region}, pool.RegionWords())
-		} else {
-			palloc.Format(directMem{e.combs[0].region}, pool.RegionWords())
-		}
+		palloc.Format(directMem{e.combs[0].region}, pool.RegionWords())
 		meta := palloc.MetaWords(directMem{e.combs[0].region})
 		e.combs[0].region.FlushRange(0, meta)
 		e.combs[0].region.PFence()

@@ -45,8 +45,8 @@ const NumArenas = 4
 const pageWords = 64
 
 // classSizes are the block sizes in words: {2..8} then four sizes per
-// octave, a 1.25× spacing that caps rounding waste at 25% (the legacy
-// power-of-two classes waste up to 100%). Every size is odd×2^j with
+// octave, a 1.25× spacing that caps rounding waste at 25% (power-of-two
+// classes waste up to 100%). Every size is odd×2^j with
 // odd ≤ 7, so a span of npages(c) pages divides into blocks with zero
 // remainder — classes have no per-span waste and no per-block headers.
 var classSizes = [...]uint64{

@@ -5,21 +5,16 @@
 // paper obtains wait-free allocation and deallocation: the allocator inherits
 // the progress of the construction that calls it.
 //
-// Two on-media formats coexist, distinguished by the magic word:
-//
-//   - The arena format (Format, "palloc02") carves the heap into 64-word
-//     pages grouped into spans, each span owned by one of 31 fine-grained
-//     size classes (1.25× spacing). Allocation state lives in per-span
-//     occupancy bitmaps: the hot path for an Alloc or Free is a single
-//     logged word store. Class free lists are kept per arena so shards and
-//     threads hashed to different arenas reuse disjoint spans. Recovery can
-//     rebuild the bitmaps from engine-registered roots (Recover), which
-//     reclaims blocks leaked by a crash between allocation and publication.
-//   - The legacy format (FormatLegacy, "palloc01") is the sequential
-//     power-of-two free list the paper measures in Fig. 8: every metadata
-//     touch (free-list head, bump pointer, in-use counter, block header) is
-//     a logged store, and block sizes round up to powers of two. It is kept
-//     as the space/instruction baseline for the Fig-8-style comparison.
+// The heap has one on-media format, the arena format (Format, magic word
+// "palloc02"). It carves the heap into 64-word pages grouped into spans,
+// each span owned by one of 31 fine-grained size classes (1.25× spacing).
+// Allocation state lives in per-span occupancy bitmaps: the hot path for an
+// Alloc or Free is a single logged word store. Class free lists are kept per
+// arena so shards and threads hashed to different arenas reuse disjoint
+// spans. Recovery can rebuild the bitmaps from engine-registered roots
+// (Recover), which reclaims blocks leaked by a crash between allocation and
+// publication. It replaces the power-of-two free list the paper measures in
+// Fig. 8, whose 2× rounding waste is recorded in BENCH_pr10.json.
 //
 // Design notes that the evaluation depends on:
 //
@@ -47,21 +42,12 @@ type Mem interface {
 // matching ptm.HeapBase.
 const Base = 16
 
-const (
-	magicArena  = 0x70616c6c6f633032 // "palloc02"
-	magicLegacy = 0x70616c6c6f633031 // "palloc01"
-)
+const magicArena = 0x70616c6c6f633032 // "palloc02"
 
 // IsFormatted reports whether the region viewed through m holds a formatted
-// heap (either format), as recovery uses it to decide between reuse and
+// arena heap, as recovery uses it to decide between reuse and
 // initialization.
-func IsFormatted(m Mem) bool {
-	w := m.Load(Base + offMagic)
-	return w == magicArena || w == magicLegacy
-}
-
-// IsLegacy reports whether the heap uses the legacy power-of-two format.
-func IsLegacy(m Mem) bool { return m.Load(Base+offMagic) == magicLegacy }
+func IsFormatted(m Mem) bool { return m.Load(Base+offMagic) == magicArena }
 
 // Alloc allocates a block with room for at least words payload words from
 // arena 0 and returns the payload address, or 0 if the heap is exhausted.
@@ -69,54 +55,30 @@ func Alloc(m Mem, words uint64) uint64 { return AllocArena(m, 0, words) }
 
 // AllocArena allocates from the given arena (0..NumArenas-1). Arenas
 // partition the class free lists so callers hashed to different arenas
-// (shards, threads) reuse disjoint spans; the legacy format has a single
-// free list and ignores the arena. The arena must be a deterministic
+// (shards, threads) reuse disjoint spans. The arena must be a deterministic
 // function of the operation being executed (e.g. the announcing thread id),
 // never of the executing helper, or re-executed closures would diverge.
 func AllocArena(m Mem, arena int, words uint64) uint64 {
-	if IsLegacy(m) {
-		return legacyAlloc(m, words)
-	}
 	return arenaAlloc(m, arena, words)
 }
 
 // Free returns the block whose payload starts at addr to its free
 // structure. Freeing an invalid address panics: persistent heap corruption
 // must not be silent.
-func Free(m Mem, addr uint64) {
-	if IsLegacy(m) {
-		legacyFree(m, addr)
-		return
-	}
-	arenaFree(m, addr)
-}
+func Free(m Mem, addr uint64) { arenaFree(m, addr) }
 
 // UsableWords reports the payload capacity of the block at addr.
-func UsableWords(m Mem, addr uint64) uint64 {
-	if IsLegacy(m) {
-		return legacyUsableWords(m, addr)
-	}
-	return arenaUsableWords(m, addr)
-}
+func UsableWords(m Mem, addr uint64) uint64 { return arenaUsableWords(m, addr) }
 
 // InUseWords reports the number of words currently allocated (including
-// rounding waste): the NVMM usage the paper plots in Fig. 8. The arena
-// format computes it from the page directory; the legacy format keeps a
-// logged counter.
-func InUseWords(m Mem) uint64 {
-	if IsLegacy(m) {
-		return m.Load(Base + offInUse)
-	}
-	return arenaInUseWords(m)
-}
+// rounding waste): the NVMM usage the paper plots in Fig. 8, computed from
+// the page directory.
+func InUseWords(m Mem) uint64 { return arenaInUseWords(m) }
 
 // UsedWords reports the high-water mark of the heap: every word the
 // allocator has ever handed out lies below it. CX-PUC flushes [0, UsedWords)
 // on every curComb transition, and replica copies cover the same range.
 func UsedWords(m Mem) uint64 {
-	if IsLegacy(m) {
-		return m.Load(Base + offBump)
-	}
 	return m.Load(Base+off2PagesStart) + m.Load(Base+off2Bump)*pageWords
 }
 
@@ -125,12 +87,7 @@ func HeapEndWords(m Mem) uint64 { return m.Load(Base + offHeapEnd) }
 
 // MetaWords reports the number of words of allocator metadata at the start
 // of the region viewed through m: the first payload word of any block lies
-// at or beyond it. Engines flush [0, MetaWords) after formatting. The arena
-// format's metadata includes the page directory, so the value depends on
-// the heap size; the legacy format's is fixed.
-func MetaWords(m Mem) uint64 {
-	if IsLegacy(m) {
-		return legacyHeapStart
-	}
-	return m.Load(Base + off2PagesStart)
-}
+// at or beyond it. Engines flush [0, MetaWords) after formatting. The
+// metadata includes the page directory, so the value depends on the heap
+// size.
+func MetaWords(m Mem) uint64 { return m.Load(Base + off2PagesStart) }

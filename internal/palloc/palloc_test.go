@@ -31,9 +31,6 @@ func TestFormatAndIsFormatted(t *testing.T) {
 	if !IsFormatted(m) {
 		t.Fatal("formatted heap not detected")
 	}
-	if IsLegacy(m) {
-		t.Fatal("arena heap reports legacy")
-	}
 	if got := HeapEndWords(m); got != 4096 {
 		t.Fatalf("HeapEndWords = %d, want 4096", got)
 	}
@@ -79,10 +76,10 @@ func TestAllocReturnsWritablePayload(t *testing.T) {
 	}
 }
 
-// TestFineGrainedClasses pins the headline space win over the legacy
+// TestFineGrainedClasses pins the headline space win over the paper's
 // power-of-two rounding: requests land in 1.25×-spaced classes with no
-// per-block header, so a 10-word request costs 10 words (legacy: 16) and a
-// 1 KiB value's 129 words cost 160 (legacy: 256).
+// per-block header, so a 10-word request costs 10 words (power-of-two with a
+// header: 16) and a 1 KiB value's 129 words cost 160 (power-of-two: 256).
 func TestFineGrainedClasses(t *testing.T) {
 	cases := []struct{ want, footprint uint64 }{
 		{1, 2}, {2, 2}, {3, 3}, {8, 8}, {9, 10}, {10, 10},
@@ -276,8 +273,9 @@ func TestDoubleFreePanics(t *testing.T) {
 
 // TestAllocStoreBudget asserts the acceptance criterion on the allocation
 // path's persistence cost: across fresh fills, full drains and steady-state
-// churn, logged stores per Alloc stay ≤ 2 (the legacy path issues 4–6), and
-// pure reuse is exactly one store per Alloc and one per Free.
+// churn, logged stores per Alloc stay ≤ 2 (the paper's power-of-two free
+// list issued 4–6), and pure reuse is exactly one store per Alloc and one
+// per Free.
 func TestAllocStoreBudget(t *testing.T) {
 	m := &countMem{flatMem: newMem(1 << 16)}
 	Format(m, 1<<16)
@@ -334,138 +332,57 @@ func TestUsedWordsHighWater(t *testing.T) {
 	}
 }
 
-// Legacy-format tests: the package functions dispatch on the magic word, so
-// the power-of-two baseline keeps its exact historical behavior.
-
-func TestLegacyFormatAndRounding(t *testing.T) {
-	m := newMem(1 << 16)
-	FormatLegacy(m, 1<<16)
-	if !IsFormatted(m) || !IsLegacy(m) {
-		t.Fatal("legacy heap not detected")
-	}
-	if got := MetaWords(m); got != legacyHeapStart {
-		t.Fatalf("legacy MetaWords = %d, want %d", got, legacyHeapStart)
-	}
-	// 10 payload words + 1 header = 11 → 16 words.
-	a := Alloc(m, 10)
-	if got := InUseWords(m); got != 16 {
-		t.Fatalf("InUseWords = %d, want 16 (power-of-2 rounding)", got)
-	}
-	if got := UsableWords(m, a); got != 15 {
-		t.Fatalf("UsableWords = %d, want 15", got)
-	}
-	Free(m, a)
-	if got := InUseWords(m); got != 0 {
-		t.Fatalf("InUseWords after Free = %d, want 0", got)
-	}
-	if b := Alloc(m, 10); b != a {
-		t.Fatalf("legacy free list did not reuse: got %d, want %d", b, a)
-	}
-}
-
-// TestLegacyOverflowAlloc pins the integer-overflow fix: a 2^64−1-word
-// request used to wrap words+1 to 0, land in class 1 and hand out a 2-word
-// block that the caller would then overrun.
-func TestLegacyOverflowAlloc(t *testing.T) {
-	m := newMem(4096)
-	FormatLegacy(m, 4096)
-	if a := Alloc(m, ^uint64(0)); a != 0 {
-		t.Fatalf("Alloc(2^64-1) returned %d, want 0", a)
-	}
-	if a := Alloc(m, 1<<50); a != 0 {
-		t.Fatalf("Alloc(2^50) returned %d, want 0", a)
-	}
-	if got := InUseWords(m); got != 0 {
-		t.Fatalf("failed overflow allocs leaked %d words", got)
-	}
-}
-
-func TestLegacyFreeInvalidPanics(t *testing.T) {
-	m := newMem(4096)
-	FormatLegacy(m, 4096)
-	for _, addr := range []uint64{0, 1, legacyHeapStart} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Free(%d) did not panic", addr)
-				}
-			}()
-			Free(m, addr)
-		}()
-	}
-}
-
 // Property: after any sequence of allocs and frees, live blocks never
-// overlap and InUseWords equals the sum of live block footprints — for both
-// formats.
+// overlap and InUseWords equals the sum of live block footprints.
 func TestQuickAllocFreeInvariants(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		f := func(ops []uint16) bool {
-			m := newMem(1 << 16)
-			if legacy {
-				FormatLegacy(m, 1<<16)
-			} else {
-				Format(m, 1<<16)
+	f := func(ops []uint16) bool {
+		m := newMem(1 << 16)
+		Format(m, 1<<16)
+		type blk struct{ addr, size uint64 }
+		var live []blk
+		for _, op := range ops {
+			if op%3 != 0 && len(live) > 0 { // free
+				i := int(op) % len(live)
+				Free(m, live[i].addr)
+				live = append(live[:i], live[i+1:]...)
+				continue
 			}
-			type blk struct{ addr, size uint64 }
-			var live []blk
-			for _, op := range ops {
-				if op%3 != 0 && len(live) > 0 { // free
-					i := int(op) % len(live)
-					Free(m, live[i].addr)
-					live = append(live[:i], live[i+1:]...)
-					continue
-				}
-				want := uint64(op%600) + 1
-				arena := int(op>>8) % NumArenas
-				a := AllocArena(m, arena, want)
-				if a == 0 {
-					continue
-				}
-				size := UsableWords(m, a)
-				if size < want {
-					return false
-				}
-				live = append(live, blk{addr: a, size: size})
+			want := uint64(op%600) + 1
+			arena := int(op>>8) % NumArenas
+			a := AllocArena(m, arena, want)
+			if a == 0 {
+				continue
 			}
-			var sum uint64
-			for _, b := range live {
-				sum += b.size
-				if legacy {
-					sum++ // header word
-				}
-			}
-			if InUseWords(m) != sum {
+			size := UsableWords(m, a)
+			if size < want {
 				return false
 			}
-			for i := range live {
-				for j := i + 1; j < len(live); j++ {
-					a, b := live[i], live[j]
-					if a.addr < b.addr+b.size && b.addr < a.addr+a.size {
-						return false
-					}
+			live = append(live, blk{addr: a, size: size})
+		}
+		var sum uint64
+		for _, b := range live {
+			sum += b.size
+		}
+		if InUseWords(m) != sum {
+			return false
+		}
+		for i := range live {
+			for j := i + 1; j < len(live); j++ {
+				a, b := live[i], live[j]
+				if a.addr < b.addr+b.size && b.addr < a.addr+a.size {
+					return false
 				}
 			}
-			return true
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func BenchmarkAllocFree(b *testing.B) {
 	m, _ := format(1 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		a := Alloc(m, 8)
-		Free(m, a)
-	}
-}
-
-func BenchmarkAllocFreeLegacy(b *testing.B) {
-	m := newMem(1 << 20)
-	FormatLegacy(m, 1<<20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a := Alloc(m, 8)

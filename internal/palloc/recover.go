@@ -133,12 +133,8 @@ func (h *heapImage) enumerate(roots RootEnumerator) error {
 // heap recovers with zero stores and Recover is idempotent. The caller runs
 // it inside a transaction (stores go through m and are logged like any
 // other), after the engine's own recovery has restored a consistent image.
-// Legacy heaps have no directory to rebuild and are left untouched.
 func Recover(m Mem, roots RootEnumerator) RecoverStats {
 	var st RecoverStats
-	if IsLegacy(m) {
-		return st
-	}
 	h := parseHeap(m)
 	if err := h.enumerate(roots); err != nil {
 		panic(err.Error())
@@ -246,13 +242,8 @@ func Recover(m Mem, roots RootEnumerator) RecoverStats {
 // roots reaches, without mutating anything: it returns an error if any
 // allocated block is unreachable (a leak) or any reachable address is not a
 // live block (corruption). Chaos sweeps call it after every post-crash
-// recovery; a heap that just ran Recover always reconciles. Legacy heaps
-// (no directory) report nil — the leak-on-crash behavior is the documented
-// baseline there.
+// recovery; a heap that just ran Recover always reconciles.
 func Reconcile(m Mem, roots RootEnumerator) error {
-	if IsLegacy(m) {
-		return nil
-	}
 	h := parseHeap(m)
 	if err := h.enumerate(roots); err != nil {
 		return err
@@ -307,15 +298,8 @@ type HeapStats struct {
 	MetaWords   uint64
 }
 
-// Stats summarizes an arena heap's space usage. Legacy heaps report only
-// the counters they track (InUseWords, frontier) with no class breakdown.
+// Stats summarizes an arena heap's space usage.
 func Stats(m Mem) HeapStats {
-	if IsLegacy(m) {
-		return HeapStats{
-			InUseWords: m.Load(Base + offInUse),
-			MetaWords:  legacyHeapStart,
-		}
-	}
 	h := parseHeap(m)
 	var st HeapStats
 	st.BumpPages = h.bump

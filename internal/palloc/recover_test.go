@@ -112,20 +112,6 @@ func TestRecoverRejectsBogusRoots(t *testing.T) {
 	}
 }
 
-func TestRecoverOnLegacyIsNoop(t *testing.T) {
-	m := &countMem{flatMem: newMem(4096)}
-	FormatLegacy(m, 4096)
-	a := Alloc(m, 10)
-	m.stores = 0
-	st := Recover(m, rootsOf(a))
-	if m.stores != 0 || st.ReclaimedWords != 0 {
-		t.Fatalf("legacy Recover mutated the heap (%d stores)", m.stores)
-	}
-	if err := Reconcile(m, rootsOf()); err != nil {
-		t.Fatalf("legacy Reconcile = %v, want nil (leaks are the baseline there)", err)
-	}
-}
-
 func TestStatsBreakdown(t *testing.T) {
 	m, _ := format(1 << 14)
 	a := Alloc(m, 10)

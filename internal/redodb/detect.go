@@ -33,6 +33,23 @@ func (s *Session) WasApplied(client, seq uint64) bool {
 	}) == 1
 }
 
+// Probe is Apply's receipt check run alone, applying nothing: it reports
+// whether request (client, seq) with receipt digest digest already
+// committed, or ErrSeqReused if the seq holds a receipt for a different
+// operation. The sharded front-end's coordinator probes the home shard with
+// it before publishing a cross-shard intent.
+func (s *Session) Probe(client, seq, digest uint64) (committed bool, err error) {
+	switch s.db.eng.Read(s.tid, func(m ptm.Mem) uint64 {
+		return probeReceipt(m, client, seq, digest)
+	}) {
+	case resMismatch:
+		return false, ErrSeqReused
+	case resDup:
+		return true, nil
+	}
+	return false, nil
+}
+
 // AckApplied advances the client's acked watermark: the caller promises it
 // has consumed the results of every seq <= upto, letting the dedup table
 // reclaim their receipts. One durable transaction; acking backwards is a

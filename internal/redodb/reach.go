@@ -35,8 +35,7 @@ func (db *DB) heapRoots(m ptm.Mem) palloc.RootEnumerator {
 // recoverHeap runs the allocator's reachability pass inside a transaction:
 // blocks stranded between allocation and publication by a crash are
 // reclaimed, drained spans are compacted, and the class lists are rebuilt.
-// On a clean heap (every open after a clean shutdown, and every open under
-// the legacy allocator) it stores nothing.
+// On a clean heap (every open after a clean shutdown) it stores nothing.
 func (db *DB) recoverHeap() {
 	db.eng.Update(0, func(m ptm.Mem) uint64 {
 		palloc.Recover(memShim{m}, db.heapRoots(m))
@@ -69,8 +68,7 @@ func (db *DB) AllocStats() palloc.HeapStats {
 // blocks without mutating anything: it returns an error if any allocated
 // block is unreachable (a leak) or any reachable address is not a live
 // block (corruption). Chaos sweeps call it after every post-crash
-// recovery. Legacy-format heaps reconcile vacuously — the crash leak is
-// the documented Fig-8 baseline behavior there.
+// recovery.
 func (db *DB) AllocReconcile() error {
 	_, msg := db.eng.ReadWithBytes(0, func(m ptm.Mem) uint64 {
 		if err := palloc.Reconcile(memShim{m}, db.heapRoots(m)); err != nil {

@@ -78,11 +78,6 @@ type Options struct {
 	// entirely (caller-driven: Sync/Persist seal epochs on the calling
 	// thread — deterministic, for crash sweeps and alloc pins).
 	PersistEvery time.Duration
-	// LegacyAlloc formats fresh heaps with the legacy power-of-two
-	// allocator — the Fig-8 space baseline with its 2× rounding waste,
-	// 4–6 logged stores per Alloc and leak-on-crash behavior — instead of
-	// the arena allocator. Reopening follows the on-media format.
-	LegacyAlloc bool
 }
 
 // DB is a RedoDB instance.
@@ -103,13 +98,12 @@ func Open(pool *pmem.Pool, opts Options) *DB {
 	}
 	pool.TraceEvent(obs.KindRecoveryBegin, -1, -1, 0, 0, 0)
 	eng := redo.New(pool, redo.Config{
-		Threads:     opts.Threads,
-		RingSize:    opts.RingSize,
-		Variant:     opts.Variant,
-		Features:    opts.Features,
-		Profile:     opts.Profile,
-		Buffered:    opts.Buffered,
-		LegacyAlloc: opts.LegacyAlloc,
+		Threads:  opts.Threads,
+		RingSize: opts.RingSize,
+		Variant:  opts.Variant,
+		Features: opts.Features,
+		Profile:  opts.Profile,
+		Buffered: opts.Buffered,
 	})
 	db := &DB{eng: eng, pool: pool}
 	if opts.Buffered {
@@ -124,12 +118,12 @@ func Open(pool *pmem.Pool, opts Options) *DB {
 			go db.persistLoop(every)
 		}
 	}
-	// Reject a structurally-corrupt recovered map with a typed error before
-	// running any transaction that would chase its pointers.
+	// Reject a foreign heap format or a structurally-corrupt recovered map
+	// with a typed error before running any transaction that would chase
+	// its pointers.
 	db.validate()
 	// Reachability pass over the arena heap: reclaim blocks a crash
-	// stranded between allocation and publication (no-op on a clean heap
-	// and on the legacy format, which has no directory to rebuild).
+	// stranded between allocation and publication (no-op on a clean heap).
 	db.recoverHeap()
 	pool.TraceEvent(obs.KindRecoveryEnd, -1, -1, 0, 0, 0)
 	// Initialize the map on first open; a recovered pool already holds it.
@@ -172,7 +166,7 @@ func (db *DB) Session(tid int) *Session {
 }
 
 // NVMUsedBytes reports the persistent-heap bytes in use (Fig. 8's NVMM
-// usage, including the power-of-two rounding waste of the allocator).
+// usage, including the allocator's size-class rounding waste).
 func (db *DB) NVMUsedBytes() uint64 {
 	words := db.eng.Read(0, func(m ptm.Mem) uint64 {
 		return palloc.InUseWords(memShim{m})
@@ -183,7 +177,8 @@ func (db *DB) NVMUsedBytes() uint64 {
 // NVMTotalBytes sums the used heap bytes across every replica region that
 // holds data — the paper's Fig. 8 NVMM metric, where RedoDB pays for its
 // multiple replicas (in practice only the first two under the timed
-// funnel) plus the allocator's power-of-two rounding waste.
+// funnel) plus the allocator's size-class rounding waste (at most 25%
+// per block under the arena classes).
 func (db *DB) NVMTotalBytes() uint64 {
 	var total uint64
 	for i := 0; i < db.pool.Regions(); i++ {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core/redo"
+	"repro/internal/palloc"
 	"repro/internal/pmem"
 )
 
@@ -397,4 +398,31 @@ func TestVariantOverride(t *testing.T) {
 	if got := db.Engine().Name(); got != "RedoTimed-PTM" {
 		t.Fatalf("engine = %s, want RedoTimed-PTM", got)
 	}
+}
+
+// TestForeignAllocatorMagicIsCorruption reopens an image whose allocator
+// magic word is not the arena format — here the retired power-of-two
+// allocator's "palloc01" — and expects the typed corruption error from
+// validation, not a heap parsed under the wrong layout.
+func TestForeignAllocatorMagicIsCorruption(t *testing.T) {
+	const magicPalloc01 = 0x70616c6c6f633031 // "palloc01"
+	pool := pmem.New(pmem.Config{Mode: pmem.Strict, RegionWords: 1 << 14, Regions: 2})
+	Open(pool, Options{Threads: 1}).Session(0).Put([]byte("k"), []byte("v"))
+	for i := 0; i < pool.Regions(); i++ {
+		r := pool.Region(i)
+		r.Store(palloc.Base, magicPalloc01)
+		r.FlushRange(palloc.Base, 1)
+		r.PFence()
+	}
+	pool.Crash(pmem.CrashConservative, nil)
+	defer func() {
+		ce, ok := pmem.AsCorruption(recover())
+		if !ok {
+			t.Fatalf("reopen did not report a typed corruption error")
+		}
+		if ce.Component != "redodb" {
+			t.Fatalf("corruption reported by %q, want redodb", ce.Component)
+		}
+	}()
+	Open(pool, Options{Threads: 1})
 }

@@ -2,6 +2,7 @@ package redodb
 
 import (
 	"repro/internal/core/redo"
+	"repro/internal/palloc"
 	"repro/internal/pmem"
 	"repro/internal/ptm"
 )
@@ -14,15 +15,21 @@ func StaleRanges(pool *pmem.Pool) []pmem.Range {
 	return redo.StaleRanges(pool)
 }
 
-// validate sanity-checks the recovered map header inside a read transaction
-// and panics with a typed *pmem.CorruptionError when the adopted replica is
-// structurally implausible: a root pointing outside the region, a bucket
-// count that is not a power of two, or a bucket array that overruns the
-// heap. These can only arise from corruption — the map is created whole in
-// one transaction and every later mutation is transactional.
+// validate sanity-checks the recovered heap and map header inside a read
+// transaction and panics with a typed *pmem.CorruptionError when the
+// adopted replica is structurally implausible: an allocator magic that is
+// not the arena format (the engine formats a fresh heap before this runs,
+// so any other word is corruption or a foreign image), a root pointing
+// outside the region, a bucket count that is not a power of two, or a
+// bucket array that overruns the heap. These can only arise from
+// corruption — the map is created whole in one transaction and every later
+// mutation is transactional.
 func (db *DB) validate() {
 	words := db.pool.RegionWords()
 	db.eng.Read(0, func(m ptm.Mem) uint64 {
+		if !palloc.IsFormatted(memShim{m}) {
+			panic(pmem.Corruptf("redodb", "allocator magic %#x is not the arena heap format", m.Load(palloc.Base)))
+		}
 		hdr := m.Load(mapRoot)
 		if hdr == 0 {
 			return 0 // first open; Open formats next

@@ -73,11 +73,8 @@ func (s *Session) commit(ops []batchOp, one batchOp, o WriteOptions) uint64 {
 	res := s.db.eng.Update(s.tid, func(m ptm.Mem) uint64 {
 		r := resApplied
 		if o.Client != 0 {
-			if d, ok := dedup.Lookup(m, o.Client, o.Seq); ok {
-				r = resDup
-				if d != 0 && d != o.Digest {
-					return resMismatch
-				}
+			if r = probeReceipt(m, o.Client, o.Seq, o.Digest); r == resMismatch {
+				return r
 			}
 		}
 		if r == resApplied {
@@ -108,6 +105,22 @@ func (s *Session) commit(ops []batchOp, one batchOp, o WriteOptions) uint64 {
 		s.Sync()
 	}
 	return res
+}
+
+// probeReceipt checks the dedup table for request (client, seq) with the
+// given receipt digest: resApplied when no receipt exists (the request may
+// apply), resDup when its receipt is durable (an acked seq, whose digest is
+// retired, counts as a dup), resMismatch when the seq holds a receipt for a
+// different operation.
+func probeReceipt(m ptm.Mem, client, seq, digest uint64) uint64 {
+	d, ok := dedup.Lookup(m, client, seq)
+	switch {
+	case !ok:
+		return resApplied
+	case d != 0 && d != digest:
+		return resMismatch
+	}
+	return resDup
 }
 
 // applyOp executes one op inside an update transaction, returning

@@ -208,7 +208,9 @@ func decodeNetVal(t *testing.T, b []byte, ok bool) uint64 {
 
 // TestDetectableSeqReuseKeepsServing: a client that re-uses a seq for a
 // different operation gets StatusErr for that request, while its connection
-// and the server keep serving and the first operation's effect stands.
+// and the server keep serving and the first operation's effect stands —
+// both for a single-key request and for a cross-shard WRITEBATCH, whose
+// receipt the home shard checks before any intent is published.
 func TestDetectableSeqReuseKeepsServing(t *testing.T) {
 	h := newHarness(t, harnessConfig{})
 	cl := h.dial(3)
@@ -226,8 +228,32 @@ func TestDetectableSeqReuseKeepsServing(t *testing.T) {
 	if applied, _, err := cl.PutDetectable(8, []byte("k2"), []byte("v")); err != nil || !applied {
 		t.Fatalf("next detectable PUT = (%v, %v), want applied", applied, err)
 	}
-	if st := h.srv.Stats(); st.Errors != 1 {
-		t.Fatalf("server counted %d errors, want 1", st.Errors)
+
+	// Two keys on different shards make the batch cross-shard.
+	shardOf := h.db.Session(0).ShardOf
+	a, b := []byte("xa"), []byte("xb0")
+	for i := 1; shardOf(b) == shardOf(a); i++ {
+		b = []byte(fmt.Sprintf("xb%d", i))
+	}
+	batch := func(v string) []load.BatchOp {
+		return []load.BatchOp{{Key: a, Val: []byte(v)}, {Key: b, Val: []byte(v)}}
+	}
+	if applied, _, err := cl.WriteDetectable(9, batch("w1")); err != nil || !applied {
+		t.Fatalf("cross-shard WRITEBATCH = (%v, %v), want applied", applied, err)
+	}
+	if _, _, err := cl.WriteDetectable(9, batch("w2")); err == nil {
+		t.Fatal("cross-shard WRITEBATCH re-using seq 9 for different values succeeded")
+	}
+	for _, k := range [][]byte{a, b} {
+		if v, ok, err := cl.Get(k); err != nil || !ok || string(v) != "w1" {
+			t.Fatalf("GET %s after cross-shard seq re-use = %q,%v,%v, want w1", k, v, ok, err)
+		}
+	}
+	if applied, _, err := cl.PutDetectable(10, []byte("k3"), []byte("v")); err != nil || !applied {
+		t.Fatalf("detectable PUT after cross-shard re-use = (%v, %v), want applied", applied, err)
+	}
+	if st := h.srv.Stats(); st.Errors != 2 {
+		t.Fatalf("server counted %d errors, want 2", st.Errors)
 	}
 }
 

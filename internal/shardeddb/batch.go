@@ -140,7 +140,7 @@ func (s *Session) Apply(b *WriteBatch, o WriteOptions) (applied bool, err error)
 		// A retry splits identically, so it probes the same shard.
 		applied, err = s.sess[only].Apply(subs[only], o)
 	default:
-		applied = s.writeCrossShard(ops, subs, rcpt)
+		applied, err = s.writeCrossShard(ops, subs, rcpt)
 	}
 	if err == nil && sync {
 		s.Sync()
@@ -150,16 +150,25 @@ func (s *Session) Apply(b *WriteBatch, o WriteOptions) (applied bool, err error)
 
 // writeCrossShard runs the coordinator protocol for a batch touching more
 // than one shard, reporting false for a detectable batch whose receipt is
-// already durable.
-func (s *Session) writeCrossShard(ops []batchOp, subs []*redodb.WriteBatch, rcpt *intentReceipt) bool {
+// already durable, and redodb.ErrSeqReused — before any intent is
+// published — for one whose seq the home shard receipted for a different
+// operation.
+func (s *Session) writeCrossShard(ops []batchOp, subs []*redodb.WriteBatch, rcpt *intentReceipt) (bool, error) {
 	db := s.db
 	db.batchMu.Lock()
 	defer db.batchMu.Unlock()
-	if rcpt != nil && s.sess[rcpt.home].WasApplied(rcpt.client, rcpt.seq) {
-		// The receipt is durable, so the batch committed (first attempt, a
-		// racing retry, or recovery's roll-forward): pure dedup hit.
-		db.group.Pool(0).TraceEvent(obs.KindDedupHit, -1, -1, rcpt.client, 0, rcpt.seq)
-		return false
+	if rcpt != nil {
+		committed, err := s.sess[rcpt.home].Probe(rcpt.client, rcpt.seq, rcpt.digest)
+		if err != nil {
+			return false, err
+		}
+		if committed {
+			// The receipt is durable, so the batch committed (first
+			// attempt, a racing retry, or recovery's roll-forward): pure
+			// dedup hit.
+			db.group.Pool(0).TraceEvent(obs.KindDedupHit, -1, -1, rcpt.client, 0, rcpt.seq)
+			return false, nil
+		}
 	}
 	seq := db.nextSeq
 	db.nextSeq++
@@ -181,7 +190,7 @@ func (s *Session) writeCrossShard(ops []batchOp, subs []*redodb.WriteBatch, rcpt
 	}
 	db.completeIntent(seq)
 	db.lastCommitted.Store(seq)
-	return true
+	return true, nil
 }
 
 // applySubs applies each shard's sub-batch tagged with the batch sequence

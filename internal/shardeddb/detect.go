@@ -15,10 +15,12 @@ import "repro/internal/redodb"
 //
 // Contract (as in redodb): client ids and seqs are nonzero, seqs strictly
 // increase per client, and a retry re-issues the identical operation. A seq
-// re-used for a different operation on the same shard returns
-// redodb.ErrSeqReused via the digest check; re-use that changes which shard
-// the operation routes to is undetectable by construction (the receipt is
-// on the original shard) and remains a client bug.
+// re-used for a different operation whose receipt lives where the new one
+// probes — the same shard for single-shard batches, the home shard for
+// cross-shard ones — returns redodb.ErrSeqReused via the digest check; re-use
+// that changes which shard the operation routes to is undetectable by
+// construction (the receipt is on the original shard) and remains a client
+// bug.
 
 // homeShard maps a client id to the shard whose dedup table anchors its
 // cross-shard receipts. The remix decorrelates home shards from sequential

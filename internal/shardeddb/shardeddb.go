@@ -47,10 +47,6 @@ type Options struct {
 	// 0 means a 200µs default, negative disables the goroutine
 	// (caller-driven: Sync/Persist seal epochs on the calling thread).
 	PersistEvery time.Duration
-	// LegacyAlloc formats every shard's fresh heap with the legacy
-	// power-of-two allocator (the Fig-8 space baseline) instead of the
-	// per-arena allocator.
-	LegacyAlloc bool
 }
 
 // GroupConfig describes the pool geometry NewGroup builds for a sharded DB:
@@ -138,11 +134,10 @@ func Open(g *pmem.Group, opts Options) *DB {
 	db.shards = make([]*redodb.DB, g.Len()-1)
 	for i := range db.shards {
 		db.shards[i] = redodb.Open(g.Pool(i+1), redodb.Options{
-			Threads:     opts.Threads,
-			Variant:     opts.Variant,
-			RingSize:    opts.RingSize,
-			Buffered:    opts.Buffered,
-			LegacyAlloc: opts.LegacyAlloc,
+			Threads:  opts.Threads,
+			Variant:  opts.Variant,
+			RingSize: opts.RingSize,
+			Buffered: opts.Buffered,
 			// The shards never run their own persisters: the group-level
 			// loop (or the caller) seals every shard in turn.
 			PersistEvery: -1,

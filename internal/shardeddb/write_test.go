@@ -16,8 +16,8 @@ import (
 // untouched), the durable epochs (Sync is durable on return on every shard,
 // a cross-shard batch always is, a buffered single-shard write without Sync
 // is not), a retry (deduplicated iff detectable) and seq re-use
-// (ErrSeqReused on a single shard; a cross-shard re-use is caught by the
-// home shard's receipt and reported as a dedup hit).
+// (ErrSeqReused with nothing applied: a single-shard batch's own shard and a
+// cross-shard batch's home shard both compare the receipt digest).
 func TestWriteOptionsMatrix(t *testing.T) {
 	const shards, client, seq = 4, 7, 1
 	options := []struct {
@@ -119,9 +119,8 @@ func TestWriteOptionsMatrix(t *testing.T) {
 					// Re-using the seq for the same keys with other values
 					// applies nothing.
 					applied, err := s.Apply(batch(shape.keys, shape.del, "v2"), opt.o)
-					wantErr := shape.name == "single-shard"
-					if applied || errors.Is(err, redodb.ErrSeqReused) != wantErr {
-						t.Fatalf("seq re-use = (%v, %v), want ErrSeqReused=%v", applied, err, wantErr)
+					if applied || !errors.Is(err, redodb.ErrSeqReused) {
+						t.Fatalf("seq re-use = (%v, %v), want ErrSeqReused", applied, err)
 					}
 					for _, k := range shape.keys {
 						if v, _ := s.Get([]byte(k)); string(v) != "v1" {
