@@ -7,12 +7,21 @@
 //	dbbench -fig fig8
 //	dbbench -fig fig9 -threads 1,2,4,8
 //	dbbench -fig sharding -shards 1,2,4,8
-//	dbbench -json BENCH_pr4.json -shards 1,8 -keys 10000 -secs 0.25
-//	dbbench -json BENCH_pr5.json -valuesize 64,256,1024 -keys 5000 -secs 0.25
-//	dbbench -json BENCH_pr7.json -detect -keys 10000 -secs 0.25
-//	dbbench -json BENCH_pr8.json -sync buffered -depth 1,8,64 -keys 10000 -secs 0.25
-//	dbbench -json space.json -space 100,1024,8192 -keys 2000
+//	dbbench -fig sharding -json sharding.json -shards 1,8 -keys 10000 -secs 0.25
+//	dbbench -fig valuesize -json valuesize.json -keys 5000 -secs 0.25
+//	dbbench -fig detect -json detect.json -keys 10000 -secs 0.25
+//	dbbench -fig buffered -json buffered.json -keys 10000 -secs 0.5 -threads 1
+//	dbbench -fig space -json space.json -keys 2000 -threads 1
 //	dbbench -trace trace.json -engine Redo-PTM -ops 64
+//
+// -json writes one figure's cells as bench entries instead of printing a
+// figure: sharding (fillrandom/readrandom per -shards count), valuesize
+// (bulk vs per-word logging at 64/256/1024 B values), detect (plain vs
+// detectable Put), buffered (sync baseline vs group commit at depths
+// 1/8/64) or space (NVMM bytes per key at 100 B/1 KiB/8 KiB values). Each
+// runs at the largest -threads count. The claims these cells back are
+// asserted live by internal/bench's TestTrajectoryClaims; the checked-in
+// BENCH_pr*.json files are frozen history.
 //
 // -trace runs a bounded single-threaded workload on one PTM engine with
 // event tracing attached (including a traced recovery pass), writes the
@@ -37,18 +46,13 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "fig7 | fig8 | fig9 | sharding | all")
+		fig      = flag.String("fig", "all", "fig7 | fig8 | fig9 | sharding | all; with -json: sharding | valuesize | detect | buffered | space")
 		keys     = flag.Uint64("keys", 100_000, "distinct keys (paper: 1e6 and 1e7)")
 		threads  = flag.String("threads", "1,2,4,8", "comma-separated thread counts")
 		secs     = flag.Float64("secs", 1.0, "seconds per data point (paper: 20)")
 		optane   = flag.Bool("optane", true, "inject Optane-like pwb/fence latencies")
 		shards   = flag.String("shards", "1,2,4,8", "comma-separated shard counts for the sharding figure")
-		vsizes   = flag.String("valuesize", "", "comma-separated value sizes in bytes: run the bulk-vs-word fillrandom sweep instead of the sharding cells (with -json)")
-		space    = flag.String("space", "", "comma-separated value sizes in bytes: run the arena allocator's bytes-per-key space figure instead of the sharding cells (with -json)")
-		detect   = flag.Bool("detect", false, "run the plain-vs-detectable Put overhead cells instead of the sharding cells (with -json)")
-		syncMode = flag.String("sync", "", "\"buffered\": run the group-commit fillrandom sweep (sync baseline + one cell per -depth) instead of the sharding cells (with -json)")
-		depths   = flag.String("depth", "1,8,64", "comma-separated Sync batch depths for -sync=buffered")
-		jsonPath = flag.String("json", "", "write tracked sharded-bench entries to this file and exit")
+		jsonPath = flag.String("json", "", "write the -fig cells as bench entries to this file and exit")
 		trace    = flag.String("trace", "", "write a traced engine run to this file and exit")
 		engine   = flag.String("engine", "Redo-PTM", "PTM engine for -trace (see ptmbench for names)")
 		ops      = flag.Int("ops", 64, "update transactions for -trace")
@@ -97,26 +101,10 @@ func main() {
 	ts := parseInts(*threads, "thread count")
 	sh := parseInts(*shards, "shard count")
 	// Size regions for ~40 words per pair plus headroom; WAL/journal and
-	// checkpoint regions use the same size. The value-size sweep needs
-	// room for its largest payload (power-of-two size classes double the
-	// worst case) instead of the default 100-byte values.
-	perKey := uint64(64)
-	if *vsizes != "" {
-		for _, v := range parseInts(*vsizes, "value size") {
-			if need := uint64(v)/8*4 + 64; need > perKey {
-				perKey = need
-			}
-		}
-	}
-	if *space != "" {
-		for _, v := range parseInts(*space, "value size") {
-			if need := uint64(v)/8*4 + 64; need > perKey {
-				perKey = need
-			}
-		}
-	}
+	// checkpoint regions use the same size. The value-size and space cells
+	// grow their own regions to fit their payloads.
 	words := uint64(1) << 16
-	for words < *keys*perKey+(1<<16) {
+	for words < *keys*64+(1<<16) {
 		words *= 2
 	}
 	cfg := bench.DBConfig{
@@ -130,26 +118,23 @@ func main() {
 		cfg.Lat = pmem.DefaultOptane
 	}
 	if *jsonPath != "" {
-		// Tracked-benchmark mode: persist a trajectory file. With
-		// -valuesize, the cells are the bulk-vs-word payload sweep;
-		// otherwise the sharded front-end at each shard count. threads is
-		// the max of -threads so CI runs stay one bounded cell per
-		// workload.
+		// One bounded cell per workload at the largest thread count.
+		t := ts[len(ts)-1]
 		var entries []bench.BenchEntry
-		if *syncMode != "" {
-			if *syncMode != "buffered" {
-				fmt.Fprintf(os.Stderr, "unknown -sync mode %q (only \"buffered\")\n", *syncMode)
-				os.Exit(2)
-			}
-			entries = bench.BufferedEntries(cfg, ts[len(ts)-1], parseInts(*depths, "batch depth"))
-		} else if *detect {
-			entries = bench.DetectEntries(cfg, ts[len(ts)-1])
-		} else if *vsizes != "" {
-			entries = bench.ValueSizeEntries(cfg, parseInts(*vsizes, "value size"), ts[len(ts)-1])
-		} else if *space != "" {
-			entries = bench.SpaceEntries(cfg, parseInts(*space, "value size"), ts[len(ts)-1])
-		} else {
-			entries = bench.ShardingEntries(cfg, sh, ts[len(ts)-1])
+		switch *fig {
+		case "sharding":
+			entries = bench.ShardingEntries(cfg, sh, t)
+		case "valuesize":
+			entries = bench.ValueSizeEntries(cfg, t)
+		case "detect":
+			entries = bench.DetectEntries(cfg, t)
+		case "buffered":
+			entries = bench.BufferedEntries(cfg, t)
+		case "space":
+			entries = bench.SpaceEntries(cfg, t)
+		default:
+			fmt.Fprintf(os.Stderr, "-json needs -fig sharding | valuesize | detect | buffered | space, not %q\n", *fig)
+			os.Exit(2)
 		}
 		if err := bench.WriteBenchJSON(*jsonPath, entries); err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
@@ -173,7 +158,7 @@ func main() {
 		bench.Fig9(cfg)
 		bench.FigSharding(cfg, sh)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
+		fmt.Fprintf(os.Stderr, "unknown figure %q (valuesize, detect, buffered and space need -json)\n", *fig)
 		os.Exit(2)
 	}
 }

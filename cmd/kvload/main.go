@@ -5,7 +5,7 @@
 //
 //	kvload -addr 127.0.0.1:7070 -workloads ycsb-b -rates 8000 -secs 2
 //	kvload -addr $(cat /tmp/kv.addr) -workloads ycsb-a,ycsb-b,ycsb-c,ycsb-f \
-//	       -rates 4000,16000 -conns 4 -secs 0.4 -json BENCH_pr9.json
+//	       -rates 4000,16000 -conns 4 -secs 0.4 -json load.json
 //
 // Cells are the cross product of -workloads and -rates (rate 0 = closed
 // loop). The key space is preloaded once, then each cell resets the

@@ -7,7 +7,7 @@ import (
 	"repro/internal/redodb"
 )
 
-// Buffered-durability sweep: the tracked benchmark behind BENCH_pr8.json.
+// Buffered-durability sweep (BENCH_pr8.json is its frozen history).
 // The "sync" baseline pays the full synchronous price per Put — a combining
 // round, the dirty-line flush, a fence, and the header publish, every
 // operation. The "buffered" cells run db_bench-style group commit at batch
@@ -15,15 +15,18 @@ import (
 // transaction into the in-flight epoch, and Syncs — sealing the epoch with
 // ONE fence for the whole group. Depth therefore amortizes both the
 // per-transaction software cost (one combining round per N puts) and the
-// persistence cost (fences/put falls as ~2/N); the trajectory pins >= 5x at
-// depth 64 with a bounded p99 (the batch-closing put absorbs the seal, so
+// persistence cost (fences/put falls as ~2/N); TestTrajectoryClaims pins
+// >= 5x at depth 64 with a bounded p99 (the batch-closing put absorbs the seal, so
 // the tail is the group-commit latency, not a lost write).
+
+// bufferedDepths are the sweep's Sync batch depths per worker.
+var bufferedDepths = []int{1, 8, 64}
 
 // BufferedEntries measures the fillrandom baseline plus one buffered cell
 // per batch depth on an unsharded RedoDB.
-func BufferedEntries(cfg DBConfig, threads int, depths []int) []BenchEntry {
+func BufferedEntries(cfg DBConfig, threads int) []BenchEntry {
 	out := []BenchEntry{bufferedCell(cfg, threads, 0)}
-	for _, d := range depths {
+	for _, d := range bufferedDepths {
 		// Each cell leaves a dead ~50 MB pool behind; reclaim it before the
 		// next measurement so GC pauses don't land inside the timed window.
 		runtime.GC()

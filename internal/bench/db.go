@@ -96,6 +96,18 @@ func (k *rocksKV) srcOf() StatSource { return k.pool }
 // pool group for the sharded engine).
 type pooled interface{ srcOf() StatSource }
 
+// regionWords sizes a region for cfg.Keys pairs of size-byte values: ~1.5
+// words per value word (arena class rounding and large-page slack) plus 64
+// for the node, key and buckets, with 1<<16 of headroom, doubled up from
+// cfg.Words.
+func regionWords(cfg DBConfig, size int) uint64 {
+	words := max(cfg.Words, 1<<16)
+	for words < cfg.Keys*(uint64(size)/8*3/2+64)+1<<16 {
+		words *= 2
+	}
+	return words
+}
+
 // dbKey renders db_bench's 16-byte keys.
 func dbKey(i uint64) []byte { return []byte(fmt.Sprintf("%016d", i)) }
 

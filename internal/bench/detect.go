@@ -7,12 +7,12 @@ import (
 	"repro/internal/redodb"
 )
 
-// Detectable-operation overhead sweep: the tracked benchmark behind
-// BENCH_pr7.json. A detectable Put writes its dedup receipt (digest word
+// Detectable-operation overhead sweep (BENCH_pr7.json is its frozen
+// history). A detectable Put writes its dedup receipt (digest word
 // then seq commit word) inside the same redo-log transaction as the
 // operation, so its cost over a plain Put is a fixed number of extra logged
-// words — the trajectory pins that at <= 2 extra pwbs per transaction, with
-// the p99 tail tracked alongside. Each worker acts as one client
+// words — TestTrajectoryClaims pins that at <= 2 extra pwbs per
+// transaction, with the p99 tail tracked alongside. Each worker acts as one client
 // (client = tid+1) issuing strictly increasing seqs and acking its window
 // every ackEvery ops, so the receipt ring stays at its initial capacity and
 // the measurement reflects steady state rather than ring growth.

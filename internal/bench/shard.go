@@ -92,8 +92,9 @@ func runSharded(cfg DBConfig, workload string, shards, threads int) Result {
 	return res
 }
 
-// BenchEntry is one tracked benchmark measurement, serialized to the
-// checked-in BENCH_*.json trajectory files.
+// BenchEntry is one benchmark cell, as dbbench -json and kvload -json write
+// it (the checked-in BENCH_*.json files are frozen runs) and as
+// TestTrajectoryClaims checks it.
 type BenchEntry struct {
 	Workload     string  `json:"workload"`
 	Engine       string  `json:"engine"`
@@ -102,8 +103,8 @@ type BenchEntry struct {
 	OpsPerSec    float64 `json:"ops_per_sec"`
 	PWBsPerTx    float64 `json:"pwbs_per_tx"`
 	PFencesPerTx float64 `json:"pfences_per_tx"`
-	// Per-operation latency percentiles from the same run (PR 4): the
-	// trajectory tracks tail behavior alongside the instruction parity.
+	// Per-operation latency percentiles from the same run: tail behavior
+	// alongside the instruction counts.
 	P50Ns int64 `json:"p50_ns"`
 	P99Ns int64 `json:"p99_ns"`
 	// Value-size sweep fields (PR 5). ValueSize is the payload size in
@@ -120,7 +121,7 @@ type BenchEntry struct {
 	// server-side service-time percentiles from the server's own STATS
 	// histograms, and the cell's error count (client-observed failures
 	// plus server-reported errors plus exactly-once verification
-	// mismatches — the trajectory asserts it stays zero). For these cells
+	// mismatches — TestTrajectoryClaims asserts it stays zero). For these cells
 	// OpsPerSec is the achieved completion rate and P50Ns/P99Ns are
 	// client-observed (queueing included under open loop).
 	OfferedPerSec float64 `json:"offered_per_sec,omitempty"`

@@ -13,10 +13,13 @@ import (
 // 160-word class and the paper's power-of-two allocator rounded to 256 (the
 // "legacy" cells of BENCH_pr10.json, the frozen record of that allocator).
 
+// spaceSizes are the figure's payload sizes in bytes.
+var spaceSizes = []int{100, 1024, 8192}
+
 // SpaceEntries runs one cell per value size.
-func SpaceEntries(cfg DBConfig, sizes []int, threads int) []BenchEntry {
+func SpaceEntries(cfg DBConfig, threads int) []BenchEntry {
 	var out []BenchEntry
-	for _, size := range sizes {
+	for _, size := range spaceSizes {
 		out = append(out, spaceCell(cfg, size, threads))
 	}
 	return out
@@ -27,7 +30,7 @@ func SpaceEntries(cfg DBConfig, sizes []int, threads int) []BenchEntry {
 // and a deterministic key set makes the per-key quotient exact.
 func spaceCell(cfg DBConfig, size, threads int) BenchEntry {
 	pool := pmem.New(pmem.Config{
-		Mode: pmem.Direct, RegionWords: cfg.Words, Regions: threads + 1, Latency: cfg.Lat,
+		Mode: pmem.Direct, RegionWords: regionWords(cfg, size), Regions: threads + 1, Latency: cfg.Lat,
 	})
 	db := redodb.Open(pool, redodb.Options{Threads: threads})
 	s := db.Session(0)

@@ -9,7 +9,7 @@ import (
 	"repro/internal/redodb"
 )
 
-// Value-size sweep: the tracked benchmark behind BENCH_pr5.json. RedoDB's
+// Value-size sweep (BENCH_pr5.json is its frozen history). RedoDB's
 // per-word logging cost is invisible at db_bench's 100-byte values and
 // dominant at 1KiB, so the sweep runs fillrandom at several payload sizes on
 // two configurations of the same engine — the bulk-store path (RedoOpt) and
@@ -26,10 +26,13 @@ func valueOf(n int) []byte {
 	return v
 }
 
+// valueSizes are the sweep's payload sizes in bytes.
+var valueSizes = []int{64, 256, 1024}
+
 // ValueSizeEntries runs the sweep cells for each payload size.
-func ValueSizeEntries(cfg DBConfig, sizes []int, threads int) []BenchEntry {
+func ValueSizeEntries(cfg DBConfig, threads int) []BenchEntry {
 	var out []BenchEntry
-	for _, size := range sizes {
+	for _, size := range valueSizes {
 		for _, path := range []string{"bulk", "word"} {
 			out = append(out, valueSizeCell(cfg, "fillrandom", size, path, threads))
 		}
@@ -43,7 +46,7 @@ func valueSizeCell(cfg DBConfig, workload string, size int, path string, threads
 	feat := redo.Features{Funnel: true, StoreAgg: true, DeferFlush: true, NTCopy: true,
 		Bulk: path == "bulk"}
 	pool := pmem.New(pmem.Config{
-		Mode: pmem.Direct, RegionWords: cfg.Words, Regions: threads + 1, Latency: cfg.Lat,
+		Mode: pmem.Direct, RegionWords: regionWords(cfg, size), Regions: threads + 1, Latency: cfg.Lat,
 	})
 	db := redodb.Open(pool, redodb.Options{Threads: threads, Features: &feat})
 	sessions := make([]*redodb.Session, threads)
@@ -59,10 +62,11 @@ func valueSizeCell(cfg DBConfig, workload string, size int, path string, threads
 		keys[i] = dbKey(uint64(i))
 	}
 	rngs := makeRNGs(threads)
-	if workload == "readrandom" {
-		for i := uint64(0); i < cfg.Keys; i++ {
-			sessions[0].Put(keys[i], val)
-		}
+	// Every key present before measuring, so a fillrandom window sees
+	// overwrites only: its pwbs/tx then no longer depends on how many of
+	// its operations were inserts paying for table growth.
+	for i := uint64(0); i < cfg.Keys; i++ {
+		sessions[0].Put(keys[i], val)
 	}
 	dsts := make([][]byte, threads)
 	for i := range dsts {

@@ -32,15 +32,14 @@ func (m *redoMem) Load(addr uint64) uint64 { return m.comb.region.Load(addr) }
 
 func (m *redoMem) Store(addr, val uint64) {
 	if m.e.feat.StoreAgg {
-		if pos, ok := m.st.aggr[addr]; ok {
+		if e, ok := m.st.aggr[addr]; ok {
 			// Store aggregation: overwrite the redo value in place;
 			// the undo value keeps the pre-transaction content.
-			m.st.entryAt(pos).val.Store(val)
+			e.val.Store(val)
 			m.comb.region.Store(addr, val)
 			return
 		}
-		pos := m.st.append(addr, m.comb.region.Load(addr), val)
-		m.st.aggr[addr] = pos
+		m.st.aggr[addr] = m.st.append(addr, m.comb.region.Load(addr), val)
 		m.comb.region.Store(addr, val)
 		m.comb.track(addr)
 		return

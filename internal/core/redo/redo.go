@@ -890,8 +890,9 @@ func (e *Redo) replay(tid int, c *combined, tail SeqTidIdx) bool {
 		}
 		n := st.logSize.Load()
 		ok := true
+		cur := st.cursor()
 		for pos := uint64(0); pos < n; {
-			we := st.entryAt(pos)
+			we := cur.next()
 			if we == nil {
 				ok = false
 				break
@@ -909,7 +910,7 @@ func (e *Redo) replay(tid int, c *combined, tail SeqTidIdx) bool {
 					break
 				}
 				buf := c.bulkBuf(cnt)
-				if !st.readPayload(pos+1, buf, false) {
+				if !cur.readPayload(buf, false) {
 					ok = false
 					break
 				}
@@ -1008,28 +1009,29 @@ func (e *Redo) flushReplica(c *combined) {
 
 // applyUndo reverts a failed simulation by replaying the undo log in
 // reverse. Bulk records are variable-length and cannot be parsed backwards,
-// so the record boundaries are collected in a forward scan first; only the
+// so a forward scan first saves a cursor at each record boundary; only the
 // owner calls this, on its own fully published log, so no torn-read checks
 // are needed.
 func (e *Redo) applyUndo(st *State, c *combined) {
 	n := st.logSize.Load()
-	var starts []uint64
-	for pos := uint64(0); pos < n; {
-		starts = append(starts, pos)
-		we := st.entryAt(pos)
-		if we.addr.Load()&bulkTag != 0 {
-			pos += 1 + we.val.Load()
-		} else {
-			pos++
+	var starts []logCursor
+	cur := st.cursor()
+	for pos := uint64(0); pos < n; pos++ {
+		starts = append(starts, cur)
+		if we := cur.next(); we.addr.Load()&bulkTag != 0 {
+			for skip := we.val.Load(); skip > 0; skip-- {
+				cur.next() // the bulk record's payload entries
+				pos++
+			}
 		}
 	}
 	for i := len(starts) - 1; i >= 0; i-- {
-		we := st.entryAt(starts[i])
+		we := starts[i].next()
 		addr := we.addr.Load()
 		if addr&bulkTag != 0 {
 			base, cnt := addr&^bulkTag, we.val.Load()
 			buf := c.bulkBuf(cnt)
-			st.readPayload(starts[i]+1, buf, true)
+			starts[i].readPayload(buf, true)
 			c.applyBulk(base, buf)
 			continue
 		}

@@ -333,31 +333,70 @@ func TestFlushAggregationSameLine(t *testing.T) {
 func TestUndoPathOnConsensusLoss(t *testing.T) {
 	// Heavy contention forces CAS failures and undo; the counter must
 	// still be exact and results exactly-once (covered above); here we
-	// additionally verify with a tiny ring to force copies too.
-	const threads, perThread = 4, 300
-	pool := pmem.New(pmem.Config{RegionWords: 1 << 14, Regions: threads + 1})
-	e := New(pool, Config{Threads: threads, RingSize: 4, Variant: Base})
-	addr := ptm.RootAddr(0)
-	var wg sync.WaitGroup
-	for tid := 0; tid < threads; tid++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			for i := 0; i < perThread; i++ {
-				e.Update(tid, func(m ptm.Mem) uint64 {
-					val := m.Load(addr) + 1
-					m.Store(addr, val)
-					return val
+	// additionally verify with a tiny ring to force copies too. The bulk
+	// case logs a 130-word record spanning log chunks before each
+	// thread's own counter, so an undo that misparses the record
+	// boundaries leaves a stale per-thread count on the losing replica.
+	const threads, perThread, payload = 4, 300, 130
+	for _, tc := range []struct {
+		name    string
+		variant Variant
+		bulk    bool
+	}{{"word", Base, false}, {"bulk", Opt, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := pmem.New(pmem.Config{RegionWords: 1 << 14, Regions: threads + 1})
+			e := New(pool, Config{Threads: threads, RingSize: 4, Variant: tc.variant})
+			addr, root := ptm.RootAddr(0), ptm.RootAddr(1)
+			if tc.bulk {
+				e.Update(0, func(m ptm.Mem) uint64 {
+					base := m.Alloc(payload + threads)
+					ptm.ZeroWords(m, base, payload+threads)
+					m.Store(root, base)
+					return 0
 				})
 			}
-		}(tid)
-	}
-	wg.Wait()
-	if got := e.Read(0, func(m ptm.Mem) uint64 { return m.Load(addr) }); got != threads*perThread {
-		t.Fatalf("counter = %d, want %d", got, threads*perThread)
-	}
-	if e.Copies() == 0 {
-		t.Fatal("tiny ring produced no replica copies")
+			var wg sync.WaitGroup
+			for tid := 0; tid < threads; tid++ {
+				wg.Add(1)
+				go func(tid int) {
+					defer wg.Done()
+					for i := 0; i < perThread; i++ {
+						e.Update(tid, func(m ptm.Mem) uint64 {
+							val := m.Load(addr) + 1
+							m.Store(addr, val)
+							if tc.bulk {
+								base := m.Load(root)
+								words := make([]uint64, payload)
+								for j := range words {
+									words[j] = val
+								}
+								ptm.StoreWords(m, base, words)
+								mine := base + payload + uint64(tid)
+								m.Store(mine, m.Load(mine)+1)
+							}
+							return val
+						})
+					}
+				}(tid)
+			}
+			wg.Wait()
+			const want = threads * perThread
+			if got := e.Read(0, func(m ptm.Mem) uint64 { return m.Load(addr) }); got != want {
+				t.Fatalf("counter = %d, want %d", got, want)
+			}
+			if tc.bulk {
+				got := make([]uint64, payload+threads)
+				e.Read(0, func(m ptm.Mem) uint64 { ptm.LoadWords(m, m.Load(root), got); return 0 })
+				for j, w := range got {
+					if j < payload && w != want || j >= payload && w != perThread {
+						t.Fatalf("word %d = %d, want payload %d, per-thread counts %d", j, w, want, perThread)
+					}
+				}
+			}
+			if e.Copies() == 0 {
+				t.Fatal("tiny ring produced no replica copies")
+			}
+		})
 	}
 }
 

@@ -86,8 +86,8 @@ type State struct {
 	// Owner-only bookkeeping (reset per use).
 	logTail   *wsNode
 	tailCount int
-	// aggr maps addr → log position for store aggregation (RedoOpt).
-	aggr map[uint64]uint64
+	// aggr maps addr → its log entry for store aggregation (RedoOpt).
+	aggr map[uint64]*wsEntry
 }
 
 // atomicBool is an atomic.Bool; aliased for slice allocation readability.
@@ -116,30 +116,42 @@ func (s *State) resetLog(aggregate bool) {
 		// for its high-water capacity; reallocate past a threshold.
 		switch {
 		case s.aggr == nil || len(s.aggr) > 4096:
-			s.aggr = make(map[uint64]uint64, 64)
+			s.aggr = make(map[uint64]*wsEntry, 64)
 		default:
 			clear(s.aggr)
 		}
 	}
 }
 
-// entryAt returns the log entry at position pos, walking the chunk chain.
-// Safe for concurrent replayers: chunks are append-only and linked with an
-// atomic pointer.
-func (s *State) entryAt(pos uint64) *wsEntry {
-	n := s.logHead
-	for pos >= logChunk {
-		n = n.next.Load()
-		if n == nil {
-			return nil
-		}
-		pos -= logChunk
-	}
-	return &n.entries[pos]
+// logCursor walks a State's log forward one entry at a time, following the
+// chunk chain node by node, so a full scan costs O(entries) rather than a
+// head walk per position. Safe for concurrent replayers: chunks are
+// append-only and linked with an atomic pointer.
+type logCursor struct {
+	node *wsNode
+	off  int // next entry within node
 }
 
-// append adds a redo/undo record and returns its position. Owner-only.
-func (s *State) append(addr, old, val uint64) uint64 {
+// cursor returns a cursor at log position 0.
+func (s *State) cursor() logCursor { return logCursor{node: s.logHead} }
+
+// next returns the entry under the cursor and advances past it, or nil if
+// the chain ends early — a torn read of a log being reset for reuse; the
+// caller's ticket validation rejects it.
+func (c *logCursor) next() *wsEntry {
+	if c.off == logChunk {
+		if c.node = c.node.next.Load(); c.node == nil {
+			return nil
+		}
+		c.off = 0
+	}
+	e := &c.node.entries[c.off]
+	c.off++
+	return e
+}
+
+// append adds a redo/undo record and returns it. Owner-only.
+func (s *State) append(addr, old, val uint64) *wsEntry {
 	e := s.nextEntry()
 	e.addr.Store(addr)
 	e.old = old
@@ -148,7 +160,7 @@ func (s *State) append(addr, old, val uint64) uint64 {
 	// Publish the entry before bumping logSize so replayers never read
 	// an unwritten entry.
 	s.logSize.Store(pos + 1)
-	return pos
+	return e
 }
 
 // nextEntry returns the next unwritten tail entry, growing the chunk chain
@@ -189,33 +201,20 @@ func (s *State) appendBulk(base uint64, redo, undo []uint64) {
 	s.logSize.Store(pos + 1 + n)
 }
 
-// readPayload copies the val (redo) or old (undo) fields of the entries at
-// positions [pos, pos+len(buf)) into buf, walking the chunk chain once.
-// Returns false if the chain is shorter than expected — a torn read of a
-// log being reset for reuse; the caller's ticket validation rejects it.
-func (s *State) readPayload(pos uint64, buf []uint64, undo bool) bool {
-	node := s.logHead
-	for pos >= logChunk {
-		node = node.next.Load()
-		if node == nil {
+// readPayload copies the val (redo) or old (undo) fields of the next
+// len(buf) entries into buf, advancing the cursor past them. Returns false
+// if the chain is shorter than expected (a torn read, as in next).
+func (c *logCursor) readPayload(buf []uint64, undo bool) bool {
+	for i := range buf {
+		e := c.next()
+		if e == nil {
 			return false
 		}
-		pos -= logChunk
-	}
-	for i := range buf {
-		if pos == logChunk {
-			node = node.next.Load()
-			if node == nil {
-				return false
-			}
-			pos = 0
-		}
 		if undo {
-			buf[i] = node.entries[pos].old
+			buf[i] = e.old
 		} else {
-			buf[i] = node.entries[pos].val.Load()
+			buf[i] = e.val.Load()
 		}
-		pos++
 	}
 	return true
 }

@@ -219,19 +219,19 @@ func (c *bufChecker) resolve(seg []BufferedOp, rest [][]BufferedOp, pending []in
 	// watermarks tend to succeed early.
 	sort.Slice(cands, func(i, j int) bool { return cands[i] > cands[j] })
 	for _, w := range cands {
-		if next, ok := c.replay(seg, kept, choiceOf, state, w); ok {
-			surv2 := make(map[uint64]bool, len(surviving)+len(dupHere))
-			for id := range surviving {
+		surv2 := make(map[uint64]bool, len(surviving)+len(dupHere))
+		for id := range surviving {
+			surv2[id] = true
+		}
+		for id, i := range dupHere {
+			if c.survives(seg[i], choiceOf(i), w) {
 				surv2[id] = true
 			}
-			for id, i := range dupHere {
-				if c.survives(seg[i], choiceOf(i), w) {
-					surv2[id] = true
-				}
-			}
-			if c.segment(rest, next, surv2) {
-				return true
-			}
+		}
+		if c.replay(seg, kept, choiceOf, state, w, func(next any) bool {
+			return c.segment(rest, next, surv2)
+		}) {
+			return true
 		}
 	}
 	return false
@@ -250,16 +250,18 @@ func (c *bufChecker) survives(op BufferedOp, ch pendChoice, w uint64) bool {
 }
 
 // replay folds the epoch-prefix of survivors, in commit (epoch) order, into
-// the post-crash state. Completed survivors must reproduce their recorded
-// results — commit order is the engine's linearization order — while pending
-// survivors replay as wildcards. Unknown-epoch survivors replay after every
-// annotated epoch: they were in flight at the crash, so nothing committed
-// after them.
-func (c *bufChecker) replay(seg []BufferedOp, kept []bool, choiceOf func(int) pendChoice, state any, w uint64) (any, bool) {
+// the post-crash state and hands each candidate state to next, reporting
+// whether next accepted one. Completed survivors must reproduce their
+// recorded results — commit order is the engine's linearization order —
+// while pending survivors replay as wildcards. Unknown-epoch survivors
+// replay after every annotated epoch: they were in flight at the crash, so
+// nothing committed after them. Operations sharing an epoch committed in
+// one combined transaction whose internal order the history does not
+// record, so every order of such a group that respects real time is tried.
+func (c *bufChecker) replay(seg []BufferedOp, kept []bool, choiceOf func(int) pendChoice, state any, w uint64, next func(any) bool) bool {
 	type rep struct {
 		op    BufferedOp
 		epoch uint64
-		call  int64
 	}
 	var reps []rep
 	for i, op := range seg {
@@ -270,21 +272,46 @@ func (c *bufChecker) replay(seg []BufferedOp, kept []bool, choiceOf func(int) pe
 		if choiceOf(i) == ranSurvive {
 			e = ^uint64(0)
 		}
-		reps = append(reps, rep{op: op, epoch: e, call: op.Call})
+		reps = append(reps, rep{op: op, epoch: e})
 	}
-	sort.SliceStable(reps, func(i, j int) bool {
-		if reps[i].epoch != reps[j].epoch {
-			return reps[i].epoch < reps[j].epoch
+	sort.SliceStable(reps, func(i, j int) bool { return reps[i].epoch < reps[j].epoch })
+	placed := make([]bool, len(reps))
+	// fold places one more operation of the epoch group reps[lo:hi], then
+	// moves on to the next group once the group is exhausted.
+	var fold func(lo, hi, left int, st any) bool
+	fold = func(lo, hi, left int, st any) bool {
+		if left == 0 {
+			if hi == len(reps) {
+				return next(st)
+			}
+			end := hi
+			for end < len(reps) && reps[end].epoch == reps[hi].epoch {
+				end++
+			}
+			return fold(hi, end, end-hi, st)
 		}
-		return reps[i].call < reps[j].call
-	})
-	st := state
-	for _, r := range reps {
-		next, res := c.model.Step(st, r.op.Op)
-		if !r.op.Pending && res != r.op.Result {
-			return nil, false
+	candidates:
+		for a := lo; a < hi; a++ {
+			if placed[a] {
+				continue
+			}
+			for b := lo; b < hi; b++ {
+				if !placed[b] && b != a && reps[b].op.Return < reps[a].op.Call {
+					continue candidates // b precedes a in real time
+				}
+			}
+			st2, res := c.model.Step(st, reps[a].op.Op)
+			if !reps[a].op.Pending && res != reps[a].op.Result {
+				continue
+			}
+			placed[a] = true
+			ok := fold(lo, hi, left-1, st2)
+			placed[a] = false
+			if ok {
+				return true
+			}
 		}
-		st = next
+		return false
 	}
-	return st, true
+	return fold(0, 0, 0, state)
 }

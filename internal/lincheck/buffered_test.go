@@ -57,6 +57,33 @@ func TestCheckBufferedDurableTable(t *testing.T) {
 			want:    true,
 		},
 		{
+			// Overlapping puts combined into one transaction share its
+			// epoch; the combiner may apply them in either order, so
+			// either value may be the survivor.
+			name:  "accept/shared-epoch-either-order",
+			model: KVModel{},
+			history: []BufferedOp{
+				be(d(0, 1, 4, "put", 1, 10, 0), 1),
+				be(d(1, 2, 3, "put", 1, 20, 0), 1),
+				be(d(0, 6, 7, "get", 1, 0, 10), 1),
+			},
+			crashes: []int64{5},
+			want:    true,
+		},
+		{
+			// ...but only in an order real time allows: 20 was written
+			// after 10 returned, so 10 cannot be the survivor.
+			name:  "reject/shared-epoch-against-real-time",
+			model: KVModel{},
+			history: []BufferedOp{
+				be(d(0, 1, 2, "put", 1, 10, 0), 1),
+				be(d(1, 3, 4, "put", 1, 20, 0), 1),
+				be(d(0, 6, 7, "get", 1, 0, 10), 1),
+			},
+			crashes: []int64{5},
+			want:    false,
+		},
+		{
 			// Gap loss, the defining violation: epoch 2 survived the crash
 			// while epoch 1 vanished. No watermark cut explains it.
 			name:  "reject/gap-loss",
@@ -227,7 +254,7 @@ func TestCheckBufferedDurableTable(t *testing.T) {
 			model: KVModel{},
 			history: []BufferedOp{
 				be(d(0, 1, 2, "put", 1, 10, 0), 1),
-				be(d(0, 6, 7, "get", 1, 0, 10), 1), // survived crash 1
+				be(d(0, 6, 7, "get", 1, 0, 10), 1),  // survived crash 1
 				be(d(0, 11, 12, "get", 1, 0, 0), 1), // gone after crash 2
 			},
 			crashes: []int64{5, 10},

@@ -51,6 +51,9 @@ type PSim struct {
 	cur  atomic.Int32  // current area (volatile mirror of the header)
 	seq  atomic.Uint64 // even = quiescent, odd = combining
 	reqs []atomic.Pointer[desc]
+	// batch is the combiner's snapshot of the announced operations; only
+	// the thread holding an odd seq touches it.
+	batch []*desc
 }
 
 // Config parameterizes the engine.
@@ -151,11 +154,15 @@ func (p *PSim) combine(tid int, round uint64) {
 	p.pool.TraceEvent(obs.KindCombineBegin, tid, -1, 0, 0, round)
 	from := int(p.cur.Load())
 	src := p.area[from]
+	// Snapshot the announcements once: an operation announced after this
+	// scan waits for the next round, so a write can never arrive in a
+	// batch that was sized as read-only (and has no copy to write to).
 	hasWrite := false
-	for t := 0; t < p.cfg.Threads; t++ {
-		if d := p.reqs[t].Load(); d != nil && !d.applied.Load() && !d.readOnly {
-			hasWrite = true
-			break
+	p.batch = p.batch[:0]
+	for t := range p.reqs {
+		if d := p.reqs[t].Load(); d != nil && !d.applied.Load() {
+			p.batch = append(p.batch, d)
+			hasWrite = hasWrite || !d.readOnly
 		}
 	}
 	var dst *pmem.Region
@@ -167,11 +174,7 @@ func (p *PSim) combine(tid int, round uint64) {
 		p.cfg.Profile.AddCopy(since(p.cfg.Profile, copyStart))
 	}
 	lambdaStart := now(p.cfg.Profile)
-	for t := 0; t < p.cfg.Threads; t++ {
-		d := p.reqs[t].Load()
-		if d == nil || d.applied.Load() {
-			continue
-		}
+	for _, d := range p.batch {
 		if d.readOnly {
 			// Reads see the pre-batch state on the stable source
 			// area (they linearize at the start of the round).

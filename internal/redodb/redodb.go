@@ -58,12 +58,7 @@ var (
 type Options struct {
 	// Threads is the number of concurrent sessions (thread ids).
 	Threads int
-	// Variant selects the underlying construction (default RedoOpt-PTM,
-	// as in the paper).
-	Variant redo.Variant
-	// RingSize forwards to the engine (default 128).
-	RingSize int
-	// Features, when non-nil, overrides the Variant's optimization preset
+	// Features, when non-nil, overrides RedoOpt-PTM's optimization preset
 	// (ablation studies — e.g. the bulk-store vs word-store comparison).
 	Features *redo.Features
 	// Profile, when non-nil, accumulates the engine's phase breakdown.
@@ -88,19 +83,16 @@ type DB struct {
 }
 
 // Open creates or recovers a RedoDB over pool. The pool should have
-// Threads+1 regions (the engine's replica bound). Defaults: RedoOpt-PTM.
+// Threads+1 regions (the engine's replica bound). The construction is
+// RedoOpt-PTM, as in the paper.
 func Open(pool *pmem.Pool, opts Options) *DB {
 	if opts.Threads <= 0 {
 		opts.Threads = 1
 	}
-	if opts.Variant == 0 {
-		opts.Variant = redo.Opt
-	}
 	pool.TraceEvent(obs.KindRecoveryBegin, -1, -1, 0, 0, 0)
 	eng := redo.New(pool, redo.Config{
 		Threads:  opts.Threads,
-		RingSize: opts.RingSize,
-		Variant:  opts.Variant,
+		Variant:  redo.Opt,
 		Features: opts.Features,
 		Profile:  opts.Profile,
 		Buffered: opts.Buffered,

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core/redo"
 	"repro/internal/palloc"
 	"repro/internal/pmem"
 )
@@ -390,14 +389,6 @@ func TestSessionValidation(t *testing.T) {
 		}
 	}()
 	db.Session(2)
-}
-
-func TestVariantOverride(t *testing.T) {
-	pool := pmem.New(pmem.Config{RegionWords: 1 << 16, Regions: 2})
-	db := Open(pool, Options{Threads: 1, Variant: redo.Timed})
-	if got := db.Engine().Name(); got != "RedoTimed-PTM" {
-		t.Fatalf("engine = %s, want RedoTimed-PTM", got)
-	}
 }
 
 // TestForeignAllocatorMagicIsCorruption reopens an image whose allocator

@@ -84,7 +84,13 @@ func (cn *conn) handle(req *wire.Frame) error {
 	if req.Op == wire.OpPut && req.Flags&wire.FlagDetectable == 0 {
 		// The batchable fast path: enqueue into the arena batch (which
 		// snapshots the decoder's scratch) and defer the response until the
-		// flush supplies its commit epoch.
+		// flush supplies its commit epoch. A PUT that would grow the batch
+		// past the coordinator's capacity flushes it first.
+		if !cn.batch.Fits(req.Key, req.Val) {
+			if err := cn.flushWrites(); err != nil {
+				return err
+			}
+		}
 		cn.pending = append(cn.pending, pendingPut{
 			reqID: req.ReqID,
 			shard: cn.sess.ShardOf(req.Key),
@@ -269,7 +275,8 @@ func (cn *conn) flushWrites() error {
 	if cn.batch.Len() == 0 {
 		return nil
 	}
-	// Plain writes always apply and cannot fail.
+	// Plain writes always apply, and handle keeps the batch within
+	// WriteBatch.Fits, so Apply cannot fail here.
 	_, _ = cn.sess.Apply(&cn.batch, shardeddb.WriteOptions{Sync: cn.needDurable})
 	cn.batch.Clear()
 	cn.needDurable = false

@@ -22,8 +22,9 @@ import (
 // not be MUTATED concurrently with a Write that was handed the same *batch*
 // from another goroutine — same rule as redodb.WriteBatch.
 type WriteBatch struct {
-	ops []batchOp
-	buf []byte // arena backing every queued key and value
+	ops  []batchOp
+	buf  []byte // arena backing every queued key and value
+	size int    // encoded size of ops in the coordinator intent format
 }
 
 type batchOp struct {
@@ -43,12 +44,24 @@ func (b *WriteBatch) own(p []byte) []byte {
 
 // Put queues an insertion/overwrite.
 func (b *WriteBatch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{key: b.own(key), val: b.own(value)})
+	b.add(batchOp{key: b.own(key), val: b.own(value)})
 }
 
 // Delete queues a deletion.
 func (b *WriteBatch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{key: b.own(key), del: true})
+	b.add(batchOp{key: b.own(key), del: true})
+}
+
+func (b *WriteBatch) add(op batchOp) {
+	b.ops = append(b.ops, op)
+	b.size += op.encodedSize()
+}
+
+// Fits reports whether the batch, after Put(key, value), still fits the
+// coordinator region as a plain cross-shard batch — the capacity past which
+// Apply returns ErrBatchTooLarge. The 8 bytes are the intent's flags word.
+func (b *WriteBatch) Fits(key, value []byte) bool {
+	return 8+b.size+batchOp{key: key, val: value}.encodedSize() <= maxBatchBytes
 }
 
 // Len reports the number of queued operations.
@@ -63,6 +76,7 @@ func (b *WriteBatch) Clear() {
 	clear(b.ops)
 	b.ops = b.ops[:0]
 	b.buf = b.buf[:0]
+	b.size = 0
 }
 
 // split partitions ops into per-shard redodb batches (nil for untouched
@@ -91,14 +105,19 @@ func (s *Session) split(ops []batchOp) []*redodb.WriteBatch {
 type WriteOptions = redodb.WriteOptions
 
 // Write applies the batch atomically and durably: Apply with no options. A
-// plain write always applies and cannot fail, so Apply's results are
-// dropped.
-func (s *Session) Write(b *WriteBatch) { _, _ = s.Apply(b, WriteOptions{}) }
+// plain write always applies; the one error it can meet, ErrBatchTooLarge,
+// is a caller bug here and panics (Apply returns it instead).
+func (s *Session) Write(b *WriteBatch) {
+	if _, err := s.Apply(b, WriteOptions{}); err != nil {
+		panic(err)
+	}
+}
 
 // Apply applies the batch atomically under the given options, reporting
 // whether this call applied it (false: a detectable write found its receipt
 // and was skipped). A seq re-used for a different operation returns
-// redodb.ErrSeqReused with nothing applied.
+// redodb.ErrSeqReused, and a cross-shard batch too large for the
+// coordinator region ErrBatchTooLarge, both with nothing applied.
 //
 // A batch whose keys all live on one shard is a single RedoDB transaction —
 // wait-free, no coordinator involvement — carrying the receipt when
@@ -150,10 +169,15 @@ func (s *Session) Apply(b *WriteBatch, o WriteOptions) (applied bool, err error)
 
 // writeCrossShard runs the coordinator protocol for a batch touching more
 // than one shard, reporting false for a detectable batch whose receipt is
-// already durable, and redodb.ErrSeqReused — before any intent is
-// published — for one whose seq the home shard receipted for a different
-// operation.
+// already durable, and — before any intent is published —
+// ErrBatchTooLarge for a batch the coordinator region cannot hold and
+// redodb.ErrSeqReused for one whose seq the home shard receipted for a
+// different operation.
 func (s *Session) writeCrossShard(ops []batchOp, subs []*redodb.WriteBatch, rcpt *intentReceipt) (bool, error) {
+	payload := encodeIntent(ops, rcpt)
+	if len(payload) > maxBatchBytes {
+		return false, ErrBatchTooLarge
+	}
 	db := s.db
 	db.batchMu.Lock()
 	defer db.batchMu.Unlock()
@@ -172,7 +196,7 @@ func (s *Session) writeCrossShard(ops []batchOp, subs []*redodb.WriteBatch, rcpt
 	}
 	seq := db.nextSeq
 	db.nextSeq++
-	db.publishIntent(seq, encodeIntent(ops, rcpt))
+	db.publishIntent(seq, payload)
 	s.applySubs(subs, seq, nil, rcpt)
 	// Buffered shards: the cross-shard Sync barrier. Every touched shard
 	// (and the receipt's home shard) must persist its sub-batch, tag

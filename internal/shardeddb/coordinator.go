@@ -2,6 +2,7 @@ package shardeddb
 
 import (
 	"encoding/binary"
+	"errors"
 
 	"repro/internal/obs"
 	"repro/internal/pmem"
@@ -29,7 +30,18 @@ const (
 	coordLen     = 18 // payload length in bytes
 	coordCRC     = 19 // CRC64 over (seq, len, payload words)
 	coordPayload = 24 // payload words (line-aligned)
+
+	// coordWords sizes the coordinator region, which bounds the encoded
+	// size of a cross-shard batch to maxBatchBytes (32,576 B).
+	coordWords    = 1 << 12
+	maxBatchBytes = (coordWords - coordPayload) * 8
 )
+
+// ErrBatchTooLarge reports a cross-shard batch whose encoded intent does
+// not fit the coordinator region. Apply returns it before publishing
+// anything, so none of the batch is applied; WriteBatch.Fits tells a
+// caller when to split.
+var ErrBatchTooLarge = errors.New("shardeddb: cross-shard batch exceeds the coordinator region")
 
 // payloadWords converts a payload byte length to its word footprint.
 func payloadWords(bytes uint64) uint64 { return (bytes + 7) / 8 }
@@ -96,22 +108,13 @@ func decodeIntent(buf []byte, shards int) ([]batchOp, *intentReceipt) {
 	panic(pmem.Corruptf("shardeddb", "intent flags %d out of range", flags))
 }
 
-// maxPayloadBytes reports the largest batch payload the coordinator region
-// can hold.
-func (db *DB) maxPayloadBytes() uint64 {
-	return (db.coord.Words() - coordPayload) * 8
-}
-
 // encodeBatch serializes a batch into the intent payload format: per op, a
 // flags word (1 = delete), the key length and bytes, and for puts the value
 // length and bytes.
 func encodeBatch(ops []batchOp) []byte {
 	var size int
 	for _, op := range ops {
-		size += 16 + len(op.key)
-		if !op.del {
-			size += 8 + len(op.val)
-		}
+		size += op.encodedSize()
 	}
 	buf := make([]byte, 0, size)
 	var w [8]byte
@@ -133,6 +136,14 @@ func encodeBatch(ops []batchOp) []byte {
 		}
 	}
 	return buf
+}
+
+// encodedSize is the op's footprint in the encodeBatch format.
+func (op batchOp) encodedSize() int {
+	if op.del {
+		return 16 + len(op.key)
+	}
+	return 24 + len(op.key) + len(op.val)
 }
 
 // decodeBatch parses an intent payload. The payload passed its CRC, so any
@@ -201,11 +212,8 @@ func packWords(buf []byte) []uint64 {
 // is the whole protocol: payload, sequence number, length and CRC are
 // flushed and fenced first, and only then does status flip to 1 — so a
 // durable status=1 always names a durable, verifiable payload. Caller holds
-// batchMu.
+// batchMu and has checked the payload against maxBatchBytes.
 func (db *DB) publishIntent(seq uint64, payload []byte) {
-	if uint64(len(payload)) > db.maxPayloadBytes() {
-		panic("shardeddb: batch exceeds coordinator pool capacity")
-	}
 	words := packWords(payload)
 	for i, w := range words {
 		db.coord.Store(coordPayload+uint64(i), w)

@@ -25,7 +25,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core/redo"
 	"repro/internal/obs"
 	"repro/internal/pmem"
 	"repro/internal/redodb"
@@ -35,10 +34,6 @@ import (
 type Options struct {
 	// Threads is the number of concurrent sessions (thread ids).
 	Threads int
-	// Variant selects the per-shard construction (default RedoOpt-PTM).
-	Variant redo.Variant
-	// RingSize forwards to the per-shard engines (default 128).
-	RingSize int
 	// Buffered selects relaxed durability on every shard (group commit
 	// with per-shard durable-epoch watermarks — see buffered.go). The
 	// shard pools need Threads+2 regions (GroupConfig.Buffered).
@@ -55,7 +50,6 @@ type GroupConfig struct {
 	Shards     int
 	Threads    int
 	ShardWords uint64 // words per shard region (default 1<<14)
-	CoordWords uint64 // words in the coordinator region (default 1<<12)
 	Mode       pmem.Mode
 	Latency    pmem.LatencyModel
 	// Buffered sizes the shard pools for relaxed durability: Threads+2
@@ -78,12 +72,9 @@ func NewGroup(cfg GroupConfig) *pmem.Group {
 	if cfg.ShardWords == 0 {
 		cfg.ShardWords = 1 << 14
 	}
-	if cfg.CoordWords == 0 {
-		cfg.CoordWords = 1 << 12
-	}
 	pools := make([]*pmem.Pool, cfg.Shards+1)
 	pools[0] = pmem.New(pmem.Config{
-		Mode: cfg.Mode, RegionWords: cfg.CoordWords, Regions: 1, Latency: cfg.Latency,
+		Mode: cfg.Mode, RegionWords: coordWords, Regions: 1, Latency: cfg.Latency,
 	})
 	regions := cfg.Threads + 1
 	if cfg.Buffered {
@@ -135,8 +126,6 @@ func Open(g *pmem.Group, opts Options) *DB {
 	for i := range db.shards {
 		db.shards[i] = redodb.Open(g.Pool(i+1), redodb.Options{
 			Threads:  opts.Threads,
-			Variant:  opts.Variant,
-			RingSize: opts.RingSize,
 			Buffered: opts.Buffered,
 			// The shards never run their own persisters: the group-level
 			// loop (or the caller) seals every shard in turn.

@@ -181,3 +181,42 @@ func TestCrossShardReceiptConflictStillApplies(t *testing.T) {
 		t.Fatalf("home shard tag = %d, want %d", got, tag)
 	}
 }
+
+// TestApplyRejectsOversizedCrossShardBatch: a cross-shard batch whose
+// encoded intent exceeds the coordinator region returns ErrBatchTooLarge
+// with nothing applied, plain or detectable, and Fits turns false exactly
+// at that boundary. A single-shard batch never touches the coordinator, so
+// the same bytes on one shard still apply.
+func TestApplyRejectsOversizedCrossShardBatch(t *testing.T) {
+	s := Open(NewGroup(GroupConfig{Shards: 4, Threads: 1, ShardWords: 1 << 16}), Options{Threads: 1}).Session(0)
+	val := make([]byte, 1024)
+	b := &WriteBatch{}
+	for i := 0; ; i++ {
+		k := []byte(fmt.Sprintf("key%03d", i))
+		if !b.Fits(k, val) {
+			break
+		}
+		b.Put(k, val)
+	}
+	if _, err := s.Apply(b, WriteOptions{}); err != nil {
+		t.Fatalf("batch filled up to Fits: %v", err)
+	}
+	b.Put([]byte("one-more"), val)
+	for _, o := range []WriteOptions{{}, {Client: 3, Seq: 1}} {
+		if _, err := s.Apply(b, o); !errors.Is(err, ErrBatchTooLarge) {
+			t.Fatalf("over-capacity cross-shard Apply(%+v) = %v, want ErrBatchTooLarge", o, err)
+		}
+	}
+	if s.Has([]byte("one-more")) || s.WasApplied(3, 1) {
+		t.Fatal("a rejected batch left an effect behind")
+	}
+	single := &WriteBatch{}
+	for i := 0; single.Len() < b.Len(); i++ {
+		if k := []byte(fmt.Sprintf("solo%03d", i)); s.ShardOf(k) == 1 {
+			single.Put(k, val)
+		}
+	}
+	if _, err := s.Apply(single, WriteOptions{}); err != nil {
+		t.Fatalf("single-shard batch of the same size: %v", err)
+	}
+}
