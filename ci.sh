@@ -29,9 +29,13 @@ go test -race ./internal/core/... ./internal/ptm/... ./internal/psim/... ./inter
 # layer (tracer ring, histograms); the full packages under -race take
 # >30 s, the smokes ~2 s.
 go test -race -run TestRaceSmoke ./internal/shardeddb ./internal/obs
-# Buffered durability: the background persister sealing epochs concurrently
-# with writers, Watch registrations and Sync waiters, unsharded and sharded.
-go test -race -run 'TestBufferedPersisterGoroutine|TestBufferedShardedPersisterGoroutine' ./internal/redodb ./internal/shardeddb
+# Buffered durability: the group persister (the only background one; a
+# RedoDB is sealed by its callers) sealing every shard concurrently with
+# writers and Sync waiters.
+go test -race -run 'TestBufferedShardedPersisterGoroutine' ./internal/shardeddb
+# The WriteBatch ownership contract: a reused, poisoned arena must not reach
+# stored values through either store's write paths.
+go test -race -run TestWriteBatchArenaReuse ./internal/redodb
 # Exactly-once: the dedup-table unit tests plus one non-adversarial retry
 # storm on the unsharded engine (the full storm matrix runs in
 # `go test ./...` and via `crashcheck -retrystorm`).
@@ -67,9 +71,10 @@ go test -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
 # --- loopback -------------------------------------------------------------------
 # Boot the kvserver binary on an ephemeral port and drive one YCSB-F cell
 # with kvload through real TCP. kvload exits nonzero if the cell sees an
-# error or a failed exactly-once receipt verification. The in-process net
-# row of TestTrajectoryClaims covers all four mixes; this checks the
-# binaries and their flags.
+# error or a failed exactly-once receipt verification, and its JSON must
+# label the cell with the server's 8 shards (read back from STATS). The
+# in-process net row of TestTrajectoryClaims covers all four mixes; this
+# checks the binaries and their flags.
 TMP=$(mktemp -d)
 go build -o "$TMP/kvserver" ./cmd/kvserver
 go build -o "$TMP/kvload" ./cmd/kvload
@@ -83,7 +88,10 @@ LOAD_RC=0
 [ -s "$TMP/addr" ] && "$TMP/kvload" -addr "$(cat "$TMP/addr")" \
     -workloads ycsb-f -rates 4000 -conns 4 -secs 0.5 -keys 10000 \
     -json "$TMP/load.json" || LOAD_RC=$?
+SHARDS_RC=0
+grep -q '"shards": 8' "$TMP/load.json" || SHARDS_RC=1
 kill $KVSERVER_PID
 wait $KVSERVER_PID || true
 rm -rf "$TMP"
 [ "$LOAD_RC" -eq 0 ]
+[ "$SHARDS_RC" -eq 0 ]

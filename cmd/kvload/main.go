@@ -1,7 +1,8 @@
 // Command kvload drives YCSB-style traffic at a running kvserver over the
 // wire protocol: zipfian hot keys, pipelined connections, open-loop Poisson
 // arrivals at an offered rate, and client- plus server-side latency
-// percentiles per cell.
+// percentiles per cell, plus the generator's own lateness (send time minus
+// scheduled arrival), which open-loop client latency includes.
 //
 //	kvload -addr 127.0.0.1:7070 -workloads ycsb-b -rates 8000 -secs 2
 //	kvload -addr $(cat /tmp/kv.addr) -workloads ycsb-a,ycsb-b,ycsb-c,ycsb-f \
@@ -91,13 +92,14 @@ func main() {
 			if err != nil {
 				fatalf("cell (%s, %.0f/s): %v", mix.Name, rate, err)
 			}
-			fmt.Printf("%-7s offered %7.0f/s achieved %8.0f/s  client p50 %8v p99 %8v  server p50 %8v p99 %8v  errors %d\n",
-				res.Workload, res.Offered, res.Achieved,
-				res.ClientP50, res.ClientP99, res.ServerP50, res.ServerP99, res.Errors)
+			fmt.Printf("%-7s offered %7.0f/s achieved %8.0f/s  client p50 %8v p99 %8v  late p50 %8v p99 %8v  server p50 %8v p99 %8v  errors %d\n",
+				res.Workload, res.Offered, res.Achieved, res.ClientP50, res.ClientP99,
+				res.LateP50, res.LateP99, res.ServerP50, res.ServerP99, res.Errors)
 			totalErrs += res.Errors
 			entries = append(entries, bench.BenchEntry{
 				Workload:      res.Workload,
 				Engine:        "shardeddb-net",
+				Shards:        res.Shards,
 				Threads:       *conns,
 				Conns:         *conns,
 				ValueSize:     *valueSize,

@@ -12,8 +12,8 @@
 // The store lives on the simulated pmem heap, so its contents do not
 // survive the process; kvserver exists to serve real sockets — pipelining,
 // batching, backpressure, durability flags — not to be a durable daemon.
-// In -buffered mode writes commit into the in-flight epoch and a
-// background persister seals it every -persist-every; clients order
+// In -buffered mode writes commit into the in-flight epoch and the group
+// persister seals every shard's epoch every -persist-every; clients order
 // themselves against the watermark with SYNC or FlagDurable.
 package main
 

@@ -46,9 +46,7 @@ func bufferedCell(cfg DBConfig, threads, depth int) BenchEntry {
 	pool := pmem.New(pmem.Config{
 		Mode: pmem.Direct, RegionWords: cfg.Words, Regions: regions, Latency: cfg.Lat,
 	})
-	db := redodb.Open(pool, redodb.Options{
-		Threads: threads, Buffered: buffered, PersistEvery: -1,
-	})
+	db := redodb.Open(pool, redodb.Options{Threads: threads, Buffered: buffered})
 	sessions := make([]*redodb.Session, threads)
 	for i := range sessions {
 		sessions[i] = db.Session(i)

@@ -11,6 +11,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -59,10 +60,16 @@ func Engines() []Engine {
 		out = append(out, ptmEngine(eng))
 	}
 	return append(out,
-		onllEngine(), redodbEngine(), redodbBulkvalEngine(), rockssimEngine(),
-		shardedEngine(1), shardedEngine(2), shardedEngine(8),
+		onllEngine(),
+		// "redodb" churns a scratch key per insert; "redodb-bulkval" writes
+		// multi-line variable-length values, so every insert is an
+		// aggregated bulk log record and the sweeps exercise bulk replay,
+		// range undo and the non-temporal full-line path.
+		redodbEngine("redodb", oneByte, true), redodbEngine("redodb-bulkval", bulkVal, false),
+		rockssimEngine(),
+		shardedEngine(1, false), shardedEngine(2, false), shardedEngine(8, false),
 		bufferedEngine(2), bufferedEngine(8),
-		bufferedShardedEngine(1), bufferedShardedEngine(8),
+		shardedEngine(1, true), shardedEngine(8, true),
 	)
 }
 
@@ -216,13 +223,14 @@ func onllEngine() Engine {
 	}
 }
 
-// redodbEngine churns a scratch key alongside each insert so the sweep
-// crashes inside Alloc AND Free paths; Verify then audits the allocator
-// against the reachable blocks (AllocReconcile) — the post-crash
-// reachability pass must have left zero leaks at every injection point.
-func redodbEngine() Engine {
+// redodbEngine sweeps RedoDB, inserting value(i) under key i. With churn,
+// each insert also puts and deletes a scratch key so the sweep crashes
+// inside Alloc AND Free paths. Verify audits the allocator against the
+// reachable blocks (AllocReconcile): the post-crash reachability pass must
+// have left zero leaks at every injection point.
+func redodbEngine(name string, value func(i int) []byte, churn bool) Engine {
 	return Engine{
-		Name:       "redodb",
+		Name:       name,
 		Group:      singlePool(2),
 		Stale:      onPool(redodb.StaleRanges),
 		BulkStores: true,
@@ -235,16 +243,15 @@ func redodbEngine() Engine {
 					s = db.Session(0)
 				},
 				Insert: func(i int) {
-					s.Put([]byte(fmt.Sprintf("k%03d", i)), []byte{byte(i)})
-					s.Put([]byte("scratch"), bulkVal(i))
-					s.Delete([]byte("scratch"))
+					s.Put(wkey("k", i), value(i))
+					if churn {
+						s.Put([]byte("scratch"), bulkVal(i))
+						s.Delete([]byte("scratch"))
+					}
 				},
 				Verify: func(completed, n int) error {
-					for i := 0; i < completed; i++ {
-						v, ok := s.Get([]byte(fmt.Sprintf("k%03d", i)))
-						if !ok || v[0] != byte(i) {
-							return fmt.Errorf("completed put %d lost", i)
-						}
+					if err := verifyPuts(s.Get, value, completed); err != nil {
+						return err
 					}
 					return db.AllocReconcile()
 				},
@@ -253,48 +260,18 @@ func redodbEngine() Engine {
 	}
 }
 
-// redodbBulkvalEngine is the same store as "redodb" but with multi-line
-// variable-length values: every insert is an aggregated bulk log record, so
-// the sweeps exercise bulk replay, range undo and the non-temporal
-// full-line path at every crash point.
-func redodbBulkvalEngine() Engine {
-	return Engine{
-		Name:       "redodb-bulkval",
-		Group:      singlePool(2),
-		Stale:      onPool(redodb.StaleRanges),
-		BulkStores: true,
-		Runner: func() *Runner {
-			var db *redodb.DB
-			var s *redodb.Session
-			return &Runner{
-				Fresh: func(g *pmem.Group) {
-					db = redodb.Open(g.Pool(0), redodb.Options{Threads: 1})
-					s = db.Session(0)
-				},
-				Insert: func(i int) {
-					s.Put([]byte(fmt.Sprintf("k%03d", i)), bulkVal(i))
-				},
-				Verify: func(completed, n int) error {
-					for i := 0; i < completed; i++ {
-						v, ok := s.Get([]byte(fmt.Sprintf("k%03d", i)))
-						if !ok {
-							return fmt.Errorf("completed put %d lost", i)
-						}
-						want := bulkVal(i)
-						if len(v) != len(want) {
-							return fmt.Errorf("put %d recovered %d bytes, want %d", i, len(v), len(want))
-						}
-						for j := range v {
-							if v[j] != want[j] {
-								return fmt.Errorf("put %d corrupt at byte %d", i, j)
-							}
-						}
-					}
-					return db.AllocReconcile()
-				},
-			}
-		},
+// oneByte is the one-byte value the key-value workloads put under key i.
+func oneByte(i int) []byte { return []byte{byte(i)} }
+
+// verifyPuts checks that every completed put of a key-value workload
+// survived with its value.
+func verifyPuts(get func([]byte) ([]byte, bool), value func(int) []byte, completed int) error {
+	for i := 0; i < completed; i++ {
+		if v, ok := get(wkey("k", i)); !ok || !bytes.Equal(v, value(i)) {
+			return fmt.Errorf("completed put %d lost (present=%v, value %x, want %x)", i, ok, v, value(i))
+		}
 	}
+	return nil
 }
 
 // rockssimEngine sweeps the RocksDB-on-PM baseline store.
@@ -308,27 +285,24 @@ func rockssimEngine() Engine {
 			return &Runner{
 				Fresh: func(g *pmem.Group) { db = rockssim.Open(g.Pool(0), rockssim.Options{}) },
 				Insert: func(i int) {
-					db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte{byte(i)})
+					db.Put(wkey("k", i), oneByte(i))
 				},
-				Verify: func(completed, n int) error {
-					for i := 0; i < completed; i++ {
-						v, ok := db.Get([]byte(fmt.Sprintf("k%03d", i)))
-						if !ok || v[0] != byte(i) {
-							return fmt.Errorf("completed put %d lost", i)
-						}
-					}
-					return nil
-				},
+				Verify: func(completed, n int) error { return verifyPuts(db.Get, oneByte, completed) },
 			}
 		},
 	}
 }
 
-// shardKey renders the sharded workloads' key for insert i: the 'a' and 'b'
-// prefixes scatter to different shards.
-func shardKey(prefix byte, i int) []byte {
-	return []byte(fmt.Sprintf("%c%03d", prefix, i))
-}
+// wkey renders a workload key: the prefix, then i in three digits.
+func wkey(prefix string, i int) []byte { return []byte(fmt.Sprintf("%s%03d", prefix, i)) }
+
+// wval is the value byte a workload writes at position j of its i-th write
+// group: byte(i), inverted at odd positions so swapped keys show.
+func wval(j, i int) byte { return byte(i) ^ byte(j%2*0xff) }
+
+// shardPrefixes are the sharded workloads' key prefixes; 'a' and 'b' keys
+// scatter to different shards.
+var shardPrefixes = []string{"a", "b"}
 
 // shardedPut writes insert i of the sharded workloads: one CROSS-SHARD
 // batch of two keys, so a crash point inside the coordinator protocol
@@ -336,62 +310,93 @@ func shardKey(prefix byte, i int) []byte {
 // sweep step.
 func shardedPut(s *shardeddb.Session, i int) {
 	b := &shardeddb.WriteBatch{}
-	b.Put(shardKey('a', i), []byte{byte(i)})
-	b.Put(shardKey('b', i), []byte{byte(i) ^ 0xff})
+	for j, p := range shardPrefixes {
+		b.Put(wkey(p, i), []byte{wval(j, i)})
+	}
 	s.Write(b)
 }
 
-// shardedEngine is the sharded front-end over shards shards. Verify asserts
-// the cross-shard batches survived all-or-nothing in order.
-func shardedEngine(shards int) Engine {
+// shardedEngine is the sharded front-end over shards shards, synchronous or
+// buffered. The buffered engine adds a Sync barrier every
+// bufferedSyncDepth batches; batches above the last completed Sync may
+// individually survive or vanish (a-keys and b-keys scatter independently,
+// so the GLOBAL insert order is not a single shard's epoch order).
+func shardedEngine(shards int, buffered bool) Engine {
+	name := fmt.Sprintf("shardeddb-%d", shards)
+	if buffered {
+		name = fmt.Sprintf("shardeddb-buffered-%d", shards)
+	}
 	return Engine{
-		Name:       fmt.Sprintf("shardeddb-%d", shards),
-		Group:      shardedGroup(shards, false),
+		Name:       name,
+		Group:      shardedGroup(shards, buffered),
 		Stale:      shardeddb.StaleRanges,
 		BulkStores: true,
+		Buffered:   buffered,
 		Runner: func() *Runner {
 			var sdb *shardeddb.DB
 			var s *shardeddb.Session
 			return &Runner{
 				Fresh: func(g *pmem.Group) {
-					sdb = shardeddb.Open(g, shardeddb.Options{Threads: 1})
+					sdb = shardeddb.Open(g, shardeddb.Options{Threads: 1, Buffered: buffered, PersistEvery: -1})
 					s = sdb.Session(0)
 				},
-				Insert: func(i int) { shardedPut(s, i) },
-				Verify: func(completed, n int) error {
-					applied := 0
-					for i := 0; i < n; i++ {
-						va, oka := s.Get(shardKey('a', i))
-						vb, okb := s.Get(shardKey('b', i))
-						if oka != okb {
-							return fmt.Errorf("batch %d recovered torn (a=%v b=%v)", i, oka, okb)
-						}
-						if !oka {
-							// Inserts are sequential: once one batch is
-							// absent, every later one must be too.
-							for j := i + 1; j < n; j++ {
-								if _, ok := s.Get(shardKey('a', j)); ok {
-									return fmt.Errorf("batch %d survived but %d did not", j, i)
-								}
-								if _, ok := s.Get(shardKey('b', j)); ok {
-									return fmt.Errorf("batch %d survived torn after gap at %d", j, i)
-								}
-							}
-							break
-						}
-						if va[0] != byte(i) || vb[0] != byte(i)^0xff {
-							return fmt.Errorf("batch %d recovered with wrong values %x/%x", i, va, vb)
-						}
-						applied++
+				Insert: func(i int) {
+					shardedPut(s, i)
+					if buffered && (i+1)%bufferedSyncDepth == 0 {
+						s.Sync()
 					}
-					if applied < completed {
-						return fmt.Errorf("completed batch lost: %d applied < %d completed", applied, completed)
+				},
+				Verify: func(completed, n int) error {
+					durable := completed
+					if buffered {
+						durable = bufferedSyncDepth * (completed / bufferedSyncDepth)
+					}
+					if err := verifyGroups(s.Get, shardPrefixes, completed, n, durable, !buffered); err != nil {
+						return err
 					}
 					return sdb.AllocReconcile()
 				},
 			}
 		},
 	}
+}
+
+// verifyGroups is the all-or-nothing check after recovery of a workload
+// whose i-th write puts wkey(p, i) for every prefix p: every write survived
+// whole with its values or vanished whole, every write below durable
+// survived, no more survived than writes ran, and with prefix the survivors
+// are a prefix of the write order.
+func verifyGroups(get func([]byte) ([]byte, bool), prefixes []string, completed, n, durable int, prefix bool) error {
+	applied, gap := 0, -1
+	for i := 0; i < n; i++ {
+		present := 0
+		for j, p := range prefixes {
+			if v, ok := get(wkey(p, i)); ok {
+				if v[0] != wval(j, i) {
+					return fmt.Errorf("write %d recovered %s with wrong value %x", i, wkey(p, i), v)
+				}
+				present++
+			}
+		}
+		switch {
+		case present != 0 && present != len(prefixes):
+			return fmt.Errorf("write %d recovered torn (%d of %d keys)", i, present, len(prefixes))
+		case present == 0 && i < durable:
+			return fmt.Errorf("write %d lost below the durable point %d", i, durable)
+		case present == 0:
+			if gap < 0 {
+				gap = i
+			}
+			continue
+		case prefix && gap >= 0:
+			return fmt.Errorf("write %d survived but %d did not", i, gap)
+		}
+		applied++
+	}
+	if applied > completed+1 {
+		return fmt.Errorf("%d writes survived but only %d ran", applied, completed+1)
+	}
+	return nil
 }
 
 // bufferedEngine is RedoDB under group commit at batch depth depth: inserts
@@ -414,103 +419,24 @@ func bufferedEngine(depth int) Engine {
 		Runner: func() *Runner {
 			var db *redodb.DB
 			var s *redodb.Session
-			key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
 			return &Runner{
 				Fresh: func(g *pmem.Group) {
-					db = redodb.Open(g.Pool(0), redodb.Options{Threads: 1, Buffered: true, PersistEvery: -1})
+					db = redodb.Open(g.Pool(0), redodb.Options{Threads: 1, Buffered: true})
 					s = db.Session(0)
 				},
 				Insert: func(i int) {
-					s.Put(key(i), []byte{byte(i)})
+					s.Put(wkey("k", i), oneByte(i))
 					if (i+1)%depth == 0 {
 						db.Persist()
 					}
 				},
 				Verify: func(completed, n int) error {
-					m := 0
-					for i := 0; i < n; i++ {
-						v, ok := s.Get(key(i))
-						if !ok {
-							// Suffix loss only: once one key is absent, every
-							// later one must be too.
-							for j := i + 1; j < n; j++ {
-								if s.Has(key(j)) {
-									return fmt.Errorf("gap loss: key %d survived but %d did not", j, i)
-								}
-							}
-							break
-						}
-						if v[0] != byte(i) {
-							return fmt.Errorf("key %d recovered with wrong value %x", i, v)
-						}
-						m++
-					}
-					synced := depth * (completed / depth)
-					if m < synced {
-						return fmt.Errorf("sealed epoch lost: %d keys survived < %d covered by a completed Persist", m, synced)
-					}
-					if m > completed+1 {
-						return fmt.Errorf("%d keys survived but only %d inserts ran", m, completed+1)
+					// Suffix loss only: the survivors are a prefix holding
+					// at least every key a completed Persist covered.
+					if err := verifyGroups(s.Get, []string{"k"}, completed, n, depth*(completed/depth), true); err != nil {
+						return err
 					}
 					return db.AllocReconcile()
-				},
-			}
-		},
-	}
-}
-
-// bufferedShardedEngine is the buffered sharded front-end: the same
-// cross-shard batch workload as shardedEngine, with a Sync barrier every
-// bufferedSyncDepth batches. Batches above the last completed Sync may
-// individually survive or vanish (a-keys and b-keys scatter independently,
-// so the GLOBAL insert order is not a single shard's epoch order), but
-// every batch must recover all-or-nothing and everything below the barrier
-// must survive.
-func bufferedShardedEngine(shards int) Engine {
-	return Engine{
-		Name:       fmt.Sprintf("shardeddb-buffered-%d", shards),
-		Group:      shardedGroup(shards, true),
-		Stale:      shardeddb.StaleRanges,
-		BulkStores: true,
-		Buffered:   true,
-		Runner: func() *Runner {
-			var sdb *shardeddb.DB
-			var s *shardeddb.Session
-			return &Runner{
-				Fresh: func(g *pmem.Group) {
-					sdb = shardeddb.Open(g, shardeddb.Options{Threads: 1, Buffered: true, PersistEvery: -1})
-					s = sdb.Session(0)
-				},
-				Insert: func(i int) {
-					shardedPut(s, i)
-					if (i+1)%bufferedSyncDepth == 0 {
-						s.Sync()
-					}
-				},
-				Verify: func(completed, n int) error {
-					synced := bufferedSyncDepth * (completed / bufferedSyncDepth)
-					applied := 0
-					for i := 0; i < n; i++ {
-						va, oka := s.Get(shardKey('a', i))
-						vb, okb := s.Get(shardKey('b', i))
-						if oka != okb {
-							return fmt.Errorf("batch %d recovered torn (a=%v b=%v)", i, oka, okb)
-						}
-						if !oka {
-							if i < synced {
-								return fmt.Errorf("batch %d lost below the Sync barrier at %d", i, synced)
-							}
-							continue
-						}
-						if va[0] != byte(i) || vb[0] != byte(i)^0xff {
-							return fmt.Errorf("batch %d recovered with wrong values %x/%x", i, va, vb)
-						}
-						applied++
-					}
-					if applied > completed+1 {
-						return fmt.Errorf("%d batches survived but only %d writes ran", applied, completed+1)
-					}
-					return sdb.AllocReconcile()
 				},
 			}
 		},

@@ -56,9 +56,22 @@ type StormEngine struct {
 }
 
 // StormEngines lists the retry-storm sweep targets: the detectable session
-// API on RedoDB and on the sharded front-end at the acceptance shard counts.
+// API on RedoDB, where each request is a detectable single-key batch, and on
+// the sharded front-end at the acceptance shard counts, where each request
+// is a detectable two-key batch whose prefixes scatter across shards, so
+// every crash point inside the coordinator's intent protocol is exercised
+// with a receipt in flight.
 func StormEngines() []StormEngine {
-	return []StormEngine{stormRedodbEngine(), stormShardedEngine(1), stormShardedEngine(8)}
+	out := []StormEngine{stormEngine("detect-redodb", singlePool(2), func(g *pmem.Group) detectSession {
+		return redodb.Open(g.Pool(0), redodb.Options{Threads: 1}).Session(0)
+	}, "storm")}
+	for _, shards := range []int{1, 8} {
+		out = append(out, stormEngine(fmt.Sprintf("detect-shardeddb-%d", shards), shardedGroup(shards, false),
+			func(g *pmem.Group) detectSession {
+				return shardeddb.Open(g, shardeddb.Options{Threads: 1}).Session(0)
+			}, "a-storm", "b-storm"))
+	}
+	return out
 }
 
 // LookupStorm returns the storm engine table row named name.
@@ -86,97 +99,52 @@ type StormRunner struct {
 	Stats      func() (receipts, maxSeq, acked uint64)
 }
 
-// Storm requests are single-key detectable puts on redodb; on shardeddb
-// each request is a detectable two-key batch whose prefixes scatter across
-// shards, so every crash point inside the coordinator's intent protocol is
-// exercised with a receipt in flight.
-
-// stormShardedEngine is the retry-storm workload on the sharded front-end
-// over shards shards.
-func stormShardedEngine(shards int) StormEngine {
-	return StormEngine{
-		Name:  fmt.Sprintf("detect-shardeddb-%d", shards),
-		Group: shardedGroup(shards, false),
-		Runner: func() *StormRunner {
-			var s *shardeddb.Session
-			key := func(prefix byte, seq uint64) []byte {
-				return []byte(fmt.Sprintf("%c-storm%03d", prefix, seq))
-			}
-			return &StormRunner{
-				Fresh: func(g *pmem.Group) {
-					s = shardeddb.Open(g, shardeddb.Options{Threads: 1}).Session(0)
-				},
-				Apply: func(seq uint64) bool {
-					b := &shardeddb.WriteBatch{}
-					b.Put(key('a', seq), []byte{byte(seq)})
-					b.Put(key('b', seq), []byte{byte(seq) ^ 0xff})
-					applied, err := s.Apply(b, shardeddb.WriteOptions{Client: stormClient, Seq: seq})
-					if err != nil {
-						panic(err)
-					}
-					return applied
-				},
-				Ack:        func(upto uint64) { s.AckApplied(stormClient, upto) },
-				WasApplied: func(seq uint64) bool { return s.WasApplied(stormClient, seq) },
-				Verify: func(seq uint64, applied bool) error {
-					va, oka := s.Get(key('a', seq))
-					vb, okb := s.Get(key('b', seq))
-					if oka != okb {
-						return fmt.Errorf("request %d recovered torn (a=%v b=%v)", seq, oka, okb)
-					}
-					if oka != applied {
-						return fmt.Errorf("request %d: receipt says applied=%v but present=%v",
-							seq, applied, oka)
-					}
-					if applied && (va[0] != byte(seq) || vb[0] != byte(seq)^0xff) {
-						return fmt.Errorf("request %d recovered with wrong values %x/%x", seq, va, vb)
-					}
-					return nil
-				},
-				Stats: func() (uint64, uint64, uint64) { return s.DetectStats(stormClient) },
-			}
-		},
-	}
+// detectSession is the detectable session API RedoDB and the sharded
+// front-end share (one WriteBatch, one WriteOptions).
+type detectSession interface {
+	Apply(*redodb.WriteBatch, redodb.WriteOptions) (bool, error)
+	AckApplied(client, upto uint64)
+	WasApplied(client, seq uint64) bool
+	Get(key []byte) ([]byte, bool)
+	DetectStats(client uint64) (receipts, maxSeq, acked uint64)
 }
 
-// stormRedodbEngine is the retry-storm workload on unsharded RedoDB.
-func stormRedodbEngine() StormEngine {
-	return StormEngine{
-		Name:  "detect-redodb",
-		Group: singlePool(2),
-		Runner: func() *StormRunner {
-			var s *redodb.Session
-			key := func(seq uint64) []byte { return []byte(fmt.Sprintf("storm%03d", seq)) }
-			return &StormRunner{
-				Fresh: func(g *pmem.Group) {
-					s = redodb.Open(g.Pool(0), redodb.Options{Threads: 1}).Session(0)
-				},
-				Apply: func(seq uint64) bool {
-					b := &redodb.WriteBatch{}
-					b.Put(key(seq), []byte{byte(seq)})
-					applied, err := s.Apply(b, redodb.WriteOptions{Client: stormClient, Seq: seq})
-					if err != nil {
-						panic(err)
-					}
-					return applied
-				},
-				Ack:        func(upto uint64) { s.AckApplied(stormClient, upto) },
-				WasApplied: func(seq uint64) bool { return s.WasApplied(stormClient, seq) },
-				Verify: func(seq uint64, applied bool) error {
-					v, ok := s.Get(key(seq))
+// stormEngine runs the storm workload on the store open returns: request
+// seq is one detectable batch putting wkey(p, seq) for each prefix p.
+func stormEngine(name string, group func() *pmem.Group, open func(*pmem.Group) detectSession, prefixes ...string) StormEngine {
+	return StormEngine{Name: name, Group: group, Runner: func() *StormRunner {
+		var s detectSession
+		return &StormRunner{
+			Fresh: func(g *pmem.Group) { s = open(g) },
+			Apply: func(seq uint64) bool {
+				b := &redodb.WriteBatch{}
+				for j, p := range prefixes {
+					b.Put(wkey(p, int(seq)), []byte{wval(j, int(seq))})
+				}
+				applied, err := s.Apply(b, redodb.WriteOptions{Client: stormClient, Seq: seq})
+				if err != nil {
+					panic(err)
+				}
+				return applied
+			},
+			Ack:        func(upto uint64) { s.AckApplied(stormClient, upto) },
+			WasApplied: func(seq uint64) bool { return s.WasApplied(stormClient, seq) },
+			Verify: func(seq uint64, applied bool) error {
+				for j, p := range prefixes {
+					v, ok := s.Get(wkey(p, int(seq)))
 					if ok != applied {
-						return fmt.Errorf("request %d: receipt says applied=%v but present=%v",
-							seq, applied, ok)
+						return fmt.Errorf("request %d key %s: receipt says applied=%v but present=%v (torn if keys disagree)",
+							seq, wkey(p, int(seq)), applied, ok)
 					}
-					if applied && v[0] != byte(seq) {
-						return fmt.Errorf("request %d recovered with wrong value %x", seq, v)
+					if applied && v[0] != wval(j, int(seq)) {
+						return fmt.Errorf("request %d key %s recovered with wrong value %x", seq, wkey(p, int(seq)), v)
 					}
-					return nil
-				},
-				Stats: func() (uint64, uint64, uint64) { return s.DetectStats(stormClient) },
-			}
-		},
-	}
+				}
+				return nil
+			},
+			Stats: func() (uint64, uint64, uint64) { return s.DetectStats(stormClient) },
+		}
+	}}
 }
 
 // RetryStorm is the exactly-once crash sweep: run the detectable workload

@@ -55,10 +55,17 @@ type Result struct {
 	// Client-observed latency: for open-loop cells, measured from the
 	// scheduled arrival time (queueing included); closed-loop from send.
 	ClientP50, ClientP99 time.Duration
+	// Generator lateness (open-loop cells; zero closed-loop): send time
+	// minus scheduled arrival. The issuing goroutine sleeps to each
+	// arrival, so a coarse timer shows up here rather than in the server,
+	// and ClientP50 minus LateP50 is what the request itself cost.
+	LateP50, LateP99 time.Duration
 	// Server-side service time over the cell, from the server's STATS
 	// histograms (reset at cell start).
 	ServerP50, ServerP99 time.Duration
 	ServerOps            uint64
+	// Shards is the served store's shard count, from STATS.
+	Shards int
 }
 
 // Preload fills the key space with ValueSize-byte values through WRITEBATCH
@@ -111,6 +118,7 @@ type connWorker struct {
 
 	inflight chan inflight
 	lat      *obs.Histogram
+	late     *obs.Histogram // send time minus scheduled arrival (issuing half)
 	ops      atomic.Uint64
 	errs     atomic.Uint64
 	seq      uint64 // detectable sequence (RMW mixes)
@@ -186,6 +194,7 @@ func Run(cfg RunConfig) (Result, error) {
 			dec:      wire.NewDecoder(c, wire.Limits{}),
 			inflight: make(chan inflight, cfg.Window),
 			lat:      &obs.Histogram{},
+			late:     &obs.Histogram{},
 		}
 	}
 
@@ -210,15 +219,18 @@ func Run(cfg RunConfig) (Result, error) {
 	}
 
 	// Merge client-side results.
-	all := &obs.Histogram{}
+	all, late := &obs.Histogram{}, &obs.Histogram{}
 	for _, w := range workers {
 		res.Ops += w.ops.Load()
 		res.Errors += w.errs.Load()
 		w.lat.MergeInto(all)
+		w.late.MergeInto(late)
 	}
 	res.Achieved = float64(res.Ops) / cfg.Duration.Seconds()
 	res.ClientP50 = all.Quantile(0.50)
 	res.ClientP99 = all.Quantile(0.99)
+	res.LateP50 = late.Quantile(0.50)
+	res.LateP99 = late.Quantile(0.99)
 
 	// Server-side percentiles for the cell.
 	raw, err := ctl.Stats()
@@ -226,8 +238,9 @@ func Run(cfg RunConfig) (Result, error) {
 		return res, fmt.Errorf("stats: %w", err)
 	}
 	var snap struct {
-		Ops uint64 `json:"ops"`
-		All struct {
+		Shards int    `json:"shards"`
+		Ops    uint64 `json:"ops"`
+		All    struct {
 			P50Ns int64 `json:"p50_ns"`
 			P99Ns int64 `json:"p99_ns"`
 		} `json:"all"`
@@ -237,6 +250,7 @@ func Run(cfg RunConfig) (Result, error) {
 		return res, fmt.Errorf("stats json: %w", err)
 	}
 	res.ServerOps = snap.Ops
+	res.Shards = snap.Shards
 	res.ServerP50 = time.Duration(snap.All.P50Ns)
 	res.ServerP99 = time.Duration(snap.All.P99Ns)
 	res.Errors += snap.Errors
@@ -294,6 +308,9 @@ func (w *connWorker) run() error {
 		}
 		op := w.buildOp(key, val)
 		op.arrival = arrival
+		if openLoop {
+			w.late.Observe(time.Since(arrival))
+		}
 		select {
 		case w.inflight <- op:
 		default:

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/pmem"
 )
@@ -13,7 +13,7 @@ import (
 // bufferedOpts is the caller-driven buffered configuration the crash tests
 // use: no persister goroutine, so every pmem instruction count is
 // deterministic and injected failures fire on the test's own goroutine.
-var bufferedOpts = Options{Threads: 1, Buffered: true, PersistEvery: -1}
+var bufferedOpts = Options{Threads: 1, Buffered: true}
 
 func bkey(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
 
@@ -35,13 +35,14 @@ func survivedPrefix(t *testing.T, s *Session, n int) int {
 	return m
 }
 
-// TestBufferedSemantics covers the API contract in one caller-driven run:
-// reads see un-persisted commits immediately, the watermark trails the
-// committed epoch until Persist, Sync advances it exactly to the session's
-// last epoch. WriteOptions.Sync is pinned by TestWriteOptionsMatrix.
+// TestBufferedSemantics covers the API contract: reads see un-persisted
+// commits immediately, the watermark trails the committed epoch until a
+// seal, Sync advances it to at least the session's last epoch, and Syncs
+// racing from two sessions (serialized by persistMu) each return with their
+// own work durable. WriteOptions.Sync is pinned by TestWriteOptionsMatrix.
 func TestBufferedSemantics(t *testing.T) {
-	pool := pmem.New(pmem.Config{Mode: pmem.Strict, RegionWords: 1 << 14, Regions: 3})
-	db := Open(pool, bufferedOpts)
+	pool := pmem.New(pmem.Config{Mode: pmem.Direct, RegionWords: 1 << 16, Regions: 4})
+	db := Open(pool, Options{Threads: 2, Buffered: true})
 	if !db.Buffered() {
 		t.Fatal("DB not in buffered mode")
 	}
@@ -63,6 +64,25 @@ func TestBufferedSemantics(t *testing.T) {
 	if db.DurableEpoch() < s.LastEpoch() {
 		t.Fatalf("Sync returned with watermark %d < last epoch %d", db.DurableEpoch(), s.LastEpoch())
 	}
+
+	var wg sync.WaitGroup
+	for tid := 0; tid < 2; tid++ {
+		wg.Add(1)
+		go func(s *Session) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				s.Put(bkey(s.tid*100+i%32), []byte{byte(i)})
+				if i%16 == 0 {
+					s.Sync()
+					if d, e := db.DurableEpoch(), s.LastEpoch(); d < e {
+						t.Errorf("session %d: Sync returned with watermark %d < last epoch %d", s.tid, d, e)
+						return
+					}
+				}
+			}
+		}(db.Session(tid))
+	}
+	wg.Wait()
 }
 
 // TestBufferedSuffixLossNeverGap crashes (both models) with a tail of
@@ -90,111 +110,6 @@ func TestBufferedSuffixLossNeverGap(t *testing.T) {
 				t.Fatalf("synced prefix lost: only %d of %d synced puts survived", m, synced)
 			}
 		})
-	}
-}
-
-// TestBufferedWatch exercises the async completion-notification API in both
-// persister modes: an already-durable epoch yields an immediately-closed
-// channel, a future epoch's channel fires once the watermark reaches it,
-// and a Watch never fires early.
-func TestBufferedWatch(t *testing.T) {
-	pool := pmem.New(pmem.Config{Mode: pmem.Strict, RegionWords: 1 << 14, Regions: 3})
-	db := Open(pool, bufferedOpts)
-	s := db.Session(0)
-	s.Put(bkey(0), []byte{0})
-	epoch := s.LastEpoch()
-	ch := s.Watch(epoch)
-	select {
-	case <-ch:
-		t.Fatal("watch fired before the epoch was durable")
-	default:
-	}
-	db.Persist()
-	select {
-	case <-ch:
-	default:
-		t.Fatal("watch did not fire after Persist advanced past its epoch")
-	}
-	if ch2 := s.Watch(epoch); ch2 != nil {
-		select {
-		case <-ch2:
-		default:
-			t.Fatal("watch on an already-durable epoch must be closed immediately")
-		}
-	}
-}
-
-// TestBufferedPersisterGoroutine is the background-persister smoke (run
-// under -race by ci.sh): with the default cadence goroutine running, Sync,
-// Sync-option writes and Watch all complete, concurrent writers make progress, and
-// Close drains cleanly after a final seal.
-func TestBufferedPersisterGoroutine(t *testing.T) {
-	pool := pmem.New(pmem.Config{Mode: pmem.Direct, RegionWords: 1 << 16, Regions: 4})
-	db := Open(pool, Options{Threads: 2, Buffered: true, PersistEvery: 50 * time.Microsecond})
-	defer db.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s := db.Session(1)
-		for i := 0; i < 200; i++ {
-			s.Put(bkey(i%32), []byte{byte(i)})
-			if i%16 == 0 {
-				s.Sync()
-			}
-		}
-		s.Sync()
-	}()
-	s := db.Session(0)
-	var b WriteBatch
-	for i := 0; i < 100; i++ {
-		b.Clear()
-		b.Put(bkey(100+i%16), []byte{byte(i)})
-		s.Apply(&b, WriteOptions{Sync: true})
-	}
-	<-s.Watch(s.LastEpoch())
-	<-done
-	if db.DurableEpoch() < s.LastEpoch() {
-		t.Fatal("session epoch not durable after Sync/Watch")
-	}
-}
-
-// TestEpochWatcherSlotsRecycled is the sealed-epoch scratch-reuse audit
-// (the WriteBatch.Clear retention class, PR 5): watcher registrations for
-// sealed epochs must be recycled in place — the backing array's vacated
-// slots zeroed so closed channels are not retained, and the array itself
-// reused across register/seal cycles instead of regrowing.
-func TestEpochWatcherSlotsRecycled(t *testing.T) {
-	pool := pmem.New(pmem.Config{Mode: pmem.Strict, RegionWords: 1 << 14, Regions: 3})
-	db := Open(pool, bufferedOpts)
-	s := db.Session(0)
-	var capAfterFirst int
-	for cycle := 0; cycle < 8; cycle++ {
-		s.Put(bkey(cycle), []byte{byte(cycle)})
-		epoch := s.LastEpoch()
-		for k := 0; k < 16; k++ {
-			s.Watch(epoch)
-		}
-		db.Persist()
-		db.buf.mu.Lock()
-		ws := db.buf.watchers
-		if len(ws) != 0 {
-			db.buf.mu.Unlock()
-			t.Fatalf("cycle %d: %d watchers retained after their epoch sealed", cycle, len(ws))
-		}
-		full := ws[:cap(ws)]
-		for i, w := range full {
-			if w.ch != nil || w.epoch != 0 {
-				db.buf.mu.Unlock()
-				t.Fatalf("cycle %d: vacated watcher slot %d retains %+v (leaked channel)", cycle, i, w)
-			}
-		}
-		db.buf.mu.Unlock()
-		if cycle == 0 {
-			capAfterFirst = cap(ws)
-		} else if cap(ws) > capAfterFirst {
-			t.Fatalf("watcher backing array regrew: cap %d after cycle 0, %d after cycle %d",
-				capAfterFirst, cap(ws), cycle)
-		}
 	}
 }
 

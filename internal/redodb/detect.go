@@ -87,15 +87,15 @@ func (s *Session) DetectStats(client uint64) (receipts, maxSeq, acked uint64) {
 // keys and values folded in order, so a retry presenting different contents
 // under the same (client, seq) is detectable.
 func BatchDigest(b *WriteBatch) uint64 {
-	h := detect.Digest(opBatch, nil, uint64(len(b.ops)))
-	for _, op := range b.ops {
+	h := detect.Digest(opBatch, nil, uint64(b.n))
+	b.Each(func(key, value []byte, del bool) {
 		tag := opPut
-		if op.del {
+		if del {
 			tag = opDelete
 		}
-		h ^= detect.Digest(tag, op.key, detect.Digest(0, op.val, h))
+		h ^= detect.Digest(tag, key, detect.Digest(0, value, h))
 		h *= 1099511628211
-	}
+	})
 	if h == 0 {
 		h = 1
 	}

@@ -42,6 +42,19 @@ func (s *Session) NewIteratorTagged() (*Iterator, uint64) {
 	return &Iterator{pairs: deserialize(blob), pos: -1}, tag
 }
 
+// Merge returns one iterator over the pairs of every snapshot in its,
+// positioned before the first key. The snapshots must hold disjoint key
+// sets — the shards of a partitioned store — so the merge is a sort of the
+// concatenation with no duplicates to resolve.
+func Merge(its ...*Iterator) *Iterator {
+	var pairs []kv
+	for _, it := range its {
+		pairs = append(pairs, it.pairs...)
+	}
+	sort.Slice(pairs, func(i, j int) bool { return bytes.Compare(pairs[i].key, pairs[j].key) < 0 })
+	return &Iterator{pairs: pairs, pos: -1}
+}
+
 // serializeAll walks the hash map and encodes every pair, sorted by key.
 // It runs inside a read transaction and is deterministic, as required of
 // closures that helpers may re-execute.

@@ -11,7 +11,7 @@
 package redodb
 
 import (
-	"time"
+	"sync"
 
 	"repro/internal/core/redo"
 	"repro/internal/detect"
@@ -64,22 +64,18 @@ type Options struct {
 	// Profile, when non-nil, accumulates the engine's phase breakdown.
 	Profile *ptm.Profile
 	// Buffered selects relaxed durability (group commit): operations
-	// commit into an in-flight epoch and become durable when the
-	// persister advances the watermark — see buffered.go. Requires a
-	// pool with at least 3 regions (Threads+2 recommended).
+	// commit into an in-flight epoch and become durable when a Sync or
+	// Persist on some caller's thread seals it — see buffered.go. Requires
+	// a pool with at least 3 regions (Threads+2 recommended).
 	Buffered bool
-	// PersistEvery sets the background persister cadence in buffered
-	// mode: 0 means the 200µs default, negative disables the goroutine
-	// entirely (caller-driven: Sync/Persist seal epochs on the calling
-	// thread — deterministic, for crash sweeps and alloc pins).
-	PersistEvery time.Duration
 }
 
 // DB is a RedoDB instance.
 type DB struct {
-	eng  *redo.Redo
-	pool *pmem.Pool
-	buf  *buffered // nil in synchronous mode
+	eng       *redo.Redo
+	pool      *pmem.Pool
+	buffered  bool
+	persistMu sync.Mutex // serializes buffered epoch seals (eng.Persist)
 }
 
 // Open creates or recovers a RedoDB over pool. The pool should have
@@ -97,19 +93,7 @@ func Open(pool *pmem.Pool, opts Options) *DB {
 		Profile:  opts.Profile,
 		Buffered: opts.Buffered,
 	})
-	db := &DB{eng: eng, pool: pool}
-	if opts.Buffered {
-		db.buf = &buffered{kick: make(chan struct{}, 1)}
-		if opts.PersistEvery >= 0 {
-			every := opts.PersistEvery
-			if every == 0 {
-				every = defaultPersistEvery
-			}
-			db.buf.stop = make(chan struct{})
-			db.buf.done = make(chan struct{})
-			go db.persistLoop(every)
-		}
-	}
+	db := &DB{eng: eng, pool: pool, buffered: opts.Buffered}
 	// Reject a foreign heap format or a structurally-corrupt recovered map
 	// with a typed error before running any transaction that would chase
 	// its pointers.

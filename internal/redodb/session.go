@@ -22,17 +22,8 @@ type Session struct {
 
 // Put stores (key, value), overwriting any previous value: a plain write.
 // The closure may be re-executed by helper threads, so key and value are
-// snapshotted — into a single shared backing array, the method's only data
-// allocation.
-func (s *Session) Put(key, value []byte) { s.commit(nil, putOp(key, value), WriteOptions{}) }
-
-// putOp snapshots (key, value) into one op backed by a single allocation.
-func putOp(key, value []byte) batchOp {
-	kv := make([]byte, len(key)+len(value))
-	copy(kv, key)
-	copy(kv[len(key):], value)
-	return batchOp{key: kv[:len(key):len(key)], val: kv[len(key):]}
-}
+// snapshotted — into one encoded op, the method's only data allocation.
+func (s *Session) Put(key, value []byte) { s.commit(encodeOp(key, value, false), WriteOptions{}) }
 
 // getRead is the optimistic lookup bound to getFn at session creation.
 func (s *Session) getRead(m ptm.Mem) uint64 {
@@ -117,7 +108,7 @@ func (s *Session) Has(key []byte) bool {
 
 // Delete removes key, reporting whether it was present: a plain write.
 func (s *Session) Delete(key []byte) bool {
-	return s.commit(nil, batchOp{key: append([]byte(nil), key...), del: true}, WriteOptions{})&resPresent != 0
+	return s.commit(encodeOp(key, nil, true), WriteOptions{})&resPresent != 0
 }
 
 // Len returns the number of keys.
@@ -132,47 +123,3 @@ func (s *Session) Len() uint64 {
 // plain write always applies and cannot fail, so Apply's results are
 // dropped.
 func (s *Session) Write(b *WriteBatch) { _, _ = s.Apply(b, WriteOptions{}) }
-
-// WriteBatch collects Put/Delete operations for atomic application.
-type WriteBatch struct {
-	ops []batchOp
-}
-
-type batchOp struct {
-	key, val []byte
-	del      bool
-}
-
-// Put queues an insertion/overwrite.
-func (b *WriteBatch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{
-		key: append([]byte(nil), key...),
-		val: append([]byte(nil), value...),
-	})
-}
-
-// Delete queues a deletion.
-func (b *WriteBatch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{key: append([]byte(nil), key...), del: true})
-}
-
-// Len reports the number of queued operations.
-func (b *WriteBatch) Len() int { return len(b.ops) }
-
-// Clear empties the batch for reuse. The elements are zeroed before the
-// truncation: a plain b.ops[:0] would keep every queued key and value alive
-// through the retained backing array for as long as the batch is reused.
-func (b *WriteBatch) Clear() {
-	clear(b.ops)
-	b.ops = b.ops[:0]
-}
-
-// clone snapshots the operations; the transaction closure may be
-// re-executed by helpers, so it must not alias caller-mutable state. The
-// result is never nil, even for an empty batch: commit reads nil ops as
-// "the single op of Put or Delete".
-func (b *WriteBatch) clone() []batchOp {
-	out := make([]batchOp, len(b.ops))
-	copy(out, b.ops)
-	return out
-}

@@ -1,6 +1,7 @@
 package redodb
 
 import (
+	"bytes"
 	"errors"
 
 	"repro/internal/obs"
@@ -43,7 +44,7 @@ const (
 	resDup      uint64 = 0 // receipt found: batch skipped
 	resApplied  uint64 = 1 // batch executed (and receipted when detectable)
 	resMismatch uint64 = 2 // receipt found for a different operation
-	resPresent  uint64 = 4 // with resApplied: the single Delete found its key
+	resPresent  uint64 = 4 // with resApplied: a Delete found its key
 )
 
 // Apply applies the batch as one atomic durable transaction under the given
@@ -54,7 +55,9 @@ func (s *Session) Apply(b *WriteBatch, o WriteOptions) (applied bool, err error)
 	if o.Client != 0 && o.Digest == 0 {
 		o.Digest = BatchDigest(b)
 	}
-	switch s.commit(b.clone(), batchOp{}, o) & (resApplied | resMismatch) {
+	// The closure may be re-run by helpers after Apply returns: snapshot the
+	// arena once, so the caller may Clear and refill the batch right away.
+	switch s.commit(bytes.Clone(b.rep), o) & (resApplied | resMismatch) {
 	case resMismatch:
 		return false, ErrSeqReused
 	case resDup:
@@ -64,12 +67,11 @@ func (s *Session) Apply(b *WriteBatch, o WriteOptions) (applied bool, err error)
 }
 
 // commit is the one write transaction: the optional receipt probe, the ops
-// (ops, or the single op one when ops is nil — Put and Delete keep their
-// op in the closure instead of a one-element slice, saving an allocation),
-// the optional receipt record, then the optional tag. Persistent effects
+// encoded in rep (a private snapshot: a batch's arena, or the single op of
+// Put or Delete), the optional receipt record, then the optional tag. Persistent effects
 // per path: a plain write issues exactly its ops' stores; the receipt and
 // the tag add their own stores only when requested.
-func (s *Session) commit(ops []batchOp, one batchOp, o WriteOptions) uint64 {
+func (s *Session) commit(rep []byte, o WriteOptions) uint64 {
 	res := s.db.eng.Update(s.tid, func(m ptm.Mem) uint64 {
 		r := resApplied
 		if o.Client != 0 {
@@ -78,12 +80,9 @@ func (s *Session) commit(ops []batchOp, one batchOp, o WriteOptions) uint64 {
 			}
 		}
 		if r == resApplied {
-			if ops == nil {
-				r |= applyOp(m, one)
-			}
-			for _, op := range ops {
-				applyOp(m, op)
-			}
+			forEach(rep, func(key, value []byte, del bool) {
+				r |= applyOp(m, key, value, del)
+			})
 			if o.Client != 0 {
 				dedup.Record(m, o.Client, o.Seq, o.Digest)
 			}
@@ -125,12 +124,12 @@ func probeReceipt(m ptm.Mem, client, seq, digest uint64) uint64 {
 
 // applyOp executes one op inside an update transaction, returning
 // resPresent when a Delete removed an existing key.
-func applyOp(m ptm.Mem, op batchOp) uint64 {
-	if !op.del {
-		putLocked(m, op.key, op.val)
+func applyOp(m ptm.Mem, key, value []byte, del bool) uint64 {
+	if !del {
+		putLocked(m, key, value)
 		return 0
 	}
-	return deleteLocked(m, op.key) * resPresent
+	return deleteLocked(m, key) * resPresent
 }
 
 // TagAt returns the last batch tag recorded by a write with

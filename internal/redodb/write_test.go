@@ -47,7 +47,7 @@ func TestWriteOptionsMatrix(t *testing.T) {
 				name := fmt.Sprintf("buffered=%v/%s/%s", buffered, opt.name, shape.name)
 				t.Run(name, func(t *testing.T) {
 					pool := pmem.New(pmem.Config{Mode: pmem.Strict, RegionWords: 1 << 14, Regions: 3})
-					db := Open(pool, Options{Threads: 1, Buffered: buffered, PersistEvery: -1})
+					db := Open(pool, Options{Threads: 1, Buffered: buffered})
 					s := db.Session(0)
 					s.Put([]byte("z"), []byte("old"))
 					db.Persist()

@@ -86,7 +86,7 @@ func (cn *conn) handle(req *wire.Frame) error {
 		// snapshots the decoder's scratch) and defer the response until the
 		// flush supplies its commit epoch. A PUT that would grow the batch
 		// past the coordinator's capacity flushes it first.
-		if !cn.batch.Fits(req.Key, req.Val) {
+		if !shardeddb.Fits(&cn.batch, req.Key, req.Val) {
 			if err := cn.flushWrites(); err != nil {
 				return err
 			}
@@ -276,7 +276,7 @@ func (cn *conn) flushWrites() error {
 		return nil
 	}
 	// Plain writes always apply, and handle keeps the batch within
-	// WriteBatch.Fits, so Apply cannot fail here.
+	// shardeddb.Fits, so Apply cannot fail here.
 	_, _ = cn.sess.Apply(&cn.batch, shardeddb.WriteOptions{Sync: cn.needDurable})
 	cn.batch.Clear()
 	cn.needDurable = false

@@ -13,7 +13,7 @@
 // decoder's read buffer drains (the client is about to block on us). A
 // pipelined client therefore pays one store transaction per burst, not per
 // frame — the group-commit shape from the paper's serving path, built on the
-// arena WriteBatch ownership contract (see shardeddb/batch.go).
+// arena WriteBatch ownership contract (see redodb/batch.go).
 //
 // Simulated power failures propagate as panics from the pmem layer; the
 // server catches pmem.ErrSimulatedPowerFailure on every connection handler,

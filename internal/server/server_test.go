@@ -7,6 +7,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/load"
 	"repro/internal/pmem"
@@ -229,6 +230,52 @@ func TestServerConformance(t *testing.T) {
 	}
 	if _, err := anon.Put([]byte("x"), []byte("y")); err != nil {
 		t.Fatalf("connection did not survive the client error: %v", err)
+	}
+}
+
+// TestStatsReportsShards: STATS carries the served store's shard count, the
+// field a load generator labels its results with.
+func TestStatsReportsShards(t *testing.T) {
+	h := newHarness(t, harnessConfig{shards: 3, threads: 1})
+	cl := h.dial(0)
+	defer cl.Close()
+	raw, err := cl.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	var st server.StatsSnapshot
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatalf("stats JSON: %v\n%s", err, raw)
+	}
+	if st.Shards != h.db.Shards() || st.Shards != 3 {
+		t.Fatalf("STATS shards = %d, want db.Shards() = %d", st.Shards, h.db.Shards())
+	}
+}
+
+// TestLoadRunReportsShardsAndLateness: load.Run labels its result with the
+// served shard count, and reports generator lateness (send time minus
+// scheduled arrival) for an open-loop cell and none for a closed-loop one,
+// where every op is sent the moment it is built.
+func TestLoadRunReportsShardsAndLateness(t *testing.T) {
+	h := newHarness(t, harnessConfig{shards: 3, threads: 2})
+	if err := load.Preload(h.addr, 100, 16); err != nil {
+		t.Fatalf("preload: %v", err)
+	}
+	for _, rate := range []float64{2000, 0} {
+		mix, _ := load.MixByName("ycsb-c")
+		res, err := load.Run(load.RunConfig{
+			Addr: h.addr, Mix: mix, Duration: 100 * time.Millisecond,
+			Rate: rate, Keys: 100, ValueSize: 16,
+		})
+		if err != nil {
+			t.Fatalf("rate %v: %v", rate, err)
+		}
+		if res.Shards != 3 {
+			t.Fatalf("rate %v: result shards = %d, want 3", rate, res.Shards)
+		}
+		if open := rate > 0; open != (res.LateP99 > 0) || res.LateP50 > res.LateP99 {
+			t.Fatalf("rate %v: lateness p50 %v p99 %v", rate, res.LateP50, res.LateP99)
+		}
 	}
 }
 

@@ -23,8 +23,11 @@ type Stats struct {
 	All    obs.Histogram
 }
 
-// StatsSnapshot is the JSON form served by the STATS opcode.
+// StatsSnapshot is the JSON form served by the STATS opcode. Shards is the
+// served store's shard count, so a load generator can label its results
+// with the configuration it measured.
 type StatsSnapshot struct {
+	Shards int              `json:"shards"`
 	Conns  int64            `json:"conns"`
 	Ops    uint64           `json:"ops"`
 	Errors uint64           `json:"errors"`
@@ -48,6 +51,7 @@ func (s *Stats) Reset() {
 // Stats snapshots the server's counters and histograms.
 func (s *Server) Stats() StatsSnapshot {
 	return StatsSnapshot{
+		Shards: s.db.Shards(),
 		Conns:  s.stats.Conns.Load(),
 		Ops:    s.stats.Ops.Load(),
 		Errors: s.stats.Errors.Load(),

@@ -13,7 +13,8 @@ import (
 //   - One persister for the whole group (a background goroutine when
 //     Options.PersistEvery >= 0, otherwise caller-driven) seals every
 //     shard's in-flight epoch in turn — K fences per cadence instead of
-//     2 fences per operation.
+//     2 fences per operation. It is the repo's only background persister:
+//     a RedoDB is always sealed by its caller, here this loop.
 //   - Session.Sync is the cross-shard barrier: it waits until the
 //     session's last operation on EVERY shard is durable, so a reader that
 //     synced can never observe a post-crash state missing any of them.
@@ -23,7 +24,6 @@ import (
 //     whole batch to roll-forward or none of it — buffering never turns a
 //     torn batch into a "completed" one (see Write and recoverIntent).
 type bufferedState struct {
-	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
 }
@@ -46,16 +46,6 @@ func (db *DB) Persist() {
 	}
 }
 
-// nudge wakes the background persister without blocking.
-func (db *DB) nudge() {
-	if db.buf != nil {
-		select {
-		case db.buf.kick <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // Close stops the background persister (after a final group seal). A DB
 // without one needs no Close.
 func (db *DB) Close() {
@@ -68,8 +58,9 @@ func (db *DB) Close() {
 }
 
 // persistLoop is the group persister: one goroutine seals every shard on a
-// timer cadence and whenever a Sync nudges it. A simulated power failure
-// parks it quietly — the harness is about to Crash the group and reopen.
+// timer cadence (a Sync seals its own shards without waiting for it). A
+// simulated power failure parks it quietly — the harness is about to Crash
+// the group and reopen.
 func (db *DB) persistLoop(every time.Duration) {
 	defer close(db.buf.done)
 	defer func() {
@@ -84,10 +75,9 @@ func (db *DB) persistLoop(every time.Duration) {
 		case <-db.buf.stop:
 			db.Persist()
 			return
-		case <-db.buf.kick:
 		case <-t.C:
+			db.Persist()
 		}
-		db.Persist()
 	}
 }
 

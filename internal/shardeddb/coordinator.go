@@ -39,7 +39,7 @@ const (
 
 // ErrBatchTooLarge reports a cross-shard batch whose encoded intent does
 // not fit the coordinator region. Apply returns it before publishing
-// anything, so none of the batch is applied; WriteBatch.Fits tells a
+// anything, so none of the batch is applied; Fits tells a
 // caller when to split.
 var ErrBatchTooLarge = errors.New("shardeddb: cross-shard batch exceeds the coordinator region")
 
@@ -64,24 +64,37 @@ const (
 )
 
 // encodeIntent serializes the intent payload: a flags word, the optional
-// receipt header, then the batch ops (encodeBatch format).
-func encodeIntent(ops []batchOp, rcpt *intentReceipt) []byte {
-	var hdr [5 * 8]byte
-	n := 8
-	if rcpt != nil {
-		binary.LittleEndian.PutUint64(hdr[0:], intentFlagReceipt)
-		binary.LittleEndian.PutUint64(hdr[8:], rcpt.client)
-		binary.LittleEndian.PutUint64(hdr[16:], rcpt.seq)
-		binary.LittleEndian.PutUint64(hdr[24:], rcpt.digest)
-		binary.LittleEndian.PutUint64(hdr[32:], uint64(rcpt.home))
-		n = 40
+// receipt header, then per op a flags word (1 = delete), the key length and
+// bytes, and for puts the value length and bytes — the encoding whose length
+// WriteBatch.Size reports, which is what makes Fits exact.
+func encodeIntent(b *WriteBatch, rcpt *intentReceipt) []byte {
+	buf := make([]byte, 0, 40+b.Size())
+	if rcpt == nil {
+		buf = binary.LittleEndian.AppendUint64(buf, intentFlagPlain)
+	} else {
+		for _, w := range [...]uint64{intentFlagReceipt, rcpt.client, rcpt.seq, rcpt.digest, uint64(rcpt.home)} {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
 	}
-	return append(hdr[:n:n], encodeBatch(ops)...)
+	b.Each(func(key, value []byte, del bool) {
+		flags := uint64(0)
+		if del {
+			flags = 1
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, flags)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(key)))
+		buf = append(buf, key...)
+		if !del {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(value)))
+			buf = append(buf, value...)
+		}
+	})
+	return buf
 }
 
 // decodeIntent parses an intent payload (CRC already verified). Structural
 // violations are corruption the checksum failed to catch.
-func decodeIntent(buf []byte, shards int) ([]batchOp, *intentReceipt) {
+func decodeIntent(buf []byte, shards int) (*WriteBatch, *intentReceipt) {
 	if len(buf) < 8 {
 		panic(pmem.Corruptf("shardeddb", "intent payload shorter than its header"))
 	}
@@ -108,49 +121,12 @@ func decodeIntent(buf []byte, shards int) ([]batchOp, *intentReceipt) {
 	panic(pmem.Corruptf("shardeddb", "intent flags %d out of range", flags))
 }
 
-// encodeBatch serializes a batch into the intent payload format: per op, a
-// flags word (1 = delete), the key length and bytes, and for puts the value
-// length and bytes.
-func encodeBatch(ops []batchOp) []byte {
-	var size int
-	for _, op := range ops {
-		size += op.encodedSize()
-	}
-	buf := make([]byte, 0, size)
-	var w [8]byte
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(w[:], v)
-		buf = append(buf, w[:]...)
-	}
-	for _, op := range ops {
-		if op.del {
-			putU64(1)
-		} else {
-			putU64(0)
-		}
-		putU64(uint64(len(op.key)))
-		buf = append(buf, op.key...)
-		if !op.del {
-			putU64(uint64(len(op.val)))
-			buf = append(buf, op.val...)
-		}
-	}
-	return buf
-}
-
-// encodedSize is the op's footprint in the encodeBatch format.
-func (op batchOp) encodedSize() int {
-	if op.del {
-		return 16 + len(op.key)
-	}
-	return 24 + len(op.key) + len(op.val)
-}
-
-// decodeBatch parses an intent payload. The payload passed its CRC, so any
-// structural violation means the record was damaged in a way the checksum
-// did not catch — reported as corruption, never a panic or a wrong answer.
-func decodeBatch(buf []byte) []batchOp {
-	var ops []batchOp
+// decodeBatch parses the ops of an intent payload into a batch. The payload
+// passed its CRC, so any structural violation means the record was damaged
+// in a way the checksum did not catch — reported as corruption, never a
+// panic or a wrong answer.
+func decodeBatch(buf []byte) *WriteBatch {
+	b := &WriteBatch{}
 	u64 := func() uint64 {
 		if len(buf) < 8 {
 			panic(pmem.Corruptf("shardeddb", "truncated intent payload"))
@@ -163,23 +139,22 @@ func decodeBatch(buf []byte) []batchOp {
 		if uint64(len(buf)) < n {
 			panic(pmem.Corruptf("shardeddb", "intent payload overruns its length"))
 		}
-		b := buf[:n]
+		p := buf[:n]
 		buf = buf[n:]
-		return b
+		return p
 	}
 	for len(buf) > 0 {
-		flags := u64()
-		if flags > 1 {
+		switch flags := u64(); flags {
+		case 0:
+			key := take(u64())
+			b.Put(key, take(u64()))
+		case 1:
+			b.Delete(take(u64()))
+		default:
 			panic(pmem.Corruptf("shardeddb", "intent op flags %d out of range", flags))
 		}
-		op := batchOp{del: flags == 1}
-		op.key = append([]byte(nil), take(u64())...)
-		if !op.del {
-			op.val = append([]byte(nil), take(u64())...)
-		}
-		ops = append(ops, op)
 	}
-	return ops
+	return b
 }
 
 // intentCRC checksums an intent: sequence number, byte length, and the
@@ -301,9 +276,10 @@ func (db *DB) recoverIntent() {
 				}
 			}
 			db.group.Pool(0).TraceEvent(obs.KindRollForward, -1, db.coord.Index(), 0, 0, seq)
-			ops, rcpt := decodeIntent(buf, len(db.shards))
+			b, rcpt := decodeIntent(buf, len(db.shards))
 			s := db.Session(0)
-			s.applySubs(s.split(ops), seq, tags, rcpt)
+			s.split(b)
+			s.applySubs(seq, tags, rcpt)
 			// Buffered shards: the replayed sub-batches commit into fresh
 			// in-flight epochs; they must persist before the intent is
 			// retired below, or a crash-after-retire would lose them with

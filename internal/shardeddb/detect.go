@@ -1,7 +1,5 @@
 package shardeddb
 
-import "repro/internal/redodb"
-
 // Detectable writes on the sharded front-end (Apply with
 // WriteOptions.Client set). A single-shard batch inherits RedoDB's
 // exactly-once path unchanged: the receipt lives on the batch's shard,
@@ -27,21 +25,6 @@ import "repro/internal/redodb"
 // client ids.
 func (db *DB) homeShard(client uint64) int {
 	return int((client * 0x9e3779b97f4a7c15 >> 33) % uint64(len(db.shards)))
-}
-
-// batchDigest fingerprints the full cross-shard batch. Every path that
-// receipts a batch — first attempt, retry, roll-forward — derives the digest
-// from the same op list, so they agree on the request's identity.
-func batchDigest(ops []batchOp) uint64 {
-	rb := &redodb.WriteBatch{}
-	for _, op := range ops {
-		if op.del {
-			rb.Delete(op.key)
-		} else {
-			rb.Put(op.key, op.val)
-		}
-	}
-	return redodb.BatchDigest(rb)
 }
 
 // WasApplied reports whether request (client, seq) committed on any shard —

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/pmem"
+	"repro/internal/redodb"
 )
 
 // detPut is a detectable one-put batch for request (client, seq), reporting
@@ -191,21 +192,24 @@ func TestShardedDetectableCrashExactlyOnce(t *testing.T) {
 }
 
 // TestIntentReceiptRoundTrip exercises the flagged intent payload encoding,
-// including the home shard carrying no operations of its own.
+// including the home shard carrying no operations of its own, and pins the
+// plain payload at 8 + WriteBatch.Size bytes, the size Fits computes.
 func TestIntentReceiptRoundTrip(t *testing.T) {
-	ops := []batchOp{
-		{key: []byte("k1"), val: []byte("v1")},
-		{key: []byte("k2"), del: true},
-	}
+	ops := &WriteBatch{}
+	ops.Put([]byte("k1"), []byte("v1"))
+	ops.Delete([]byte("k2"))
 	plain := encodeIntent(ops, nil)
+	if len(plain) != 8+ops.Size() {
+		t.Fatalf("plain intent is %d bytes, want 8 + Size() = %d", len(plain), 8+ops.Size())
+	}
 	gotOps, rcpt := decodeIntent(plain, 4)
-	if rcpt != nil || len(gotOps) != 2 || string(gotOps[0].key) != "k1" || !gotOps[1].del {
-		t.Fatalf("plain round trip = %+v, %+v", gotOps, rcpt)
+	if rcpt != nil || redodb.BatchDigest(gotOps) != redodb.BatchDigest(ops) {
+		t.Fatalf("plain round trip changed the batch (receipt %+v)", rcpt)
 	}
 	want := &intentReceipt{client: 7, seq: 42, digest: 0xdead, home: 3}
 	gotOps, rcpt = decodeIntent(encodeIntent(ops, want), 4)
-	if rcpt == nil || *rcpt != *want || len(gotOps) != 2 {
-		t.Fatalf("receipt round trip = %+v, %+v", gotOps, rcpt)
+	if rcpt == nil || *rcpt != *want || redodb.BatchDigest(gotOps) != redodb.BatchDigest(ops) {
+		t.Fatalf("receipt round trip = %d ops, %+v", gotOps.Len(), rcpt)
 	}
 
 	mustCorrupt := func(name string, f func()) {

@@ -124,13 +124,9 @@ func Open(g *pmem.Group, opts Options) *DB {
 	g.Pool(0).TraceEvent(obs.KindRecoveryBegin, -1, -1, 0, 0, 0)
 	db.shards = make([]*redodb.DB, g.Len()-1)
 	for i := range db.shards {
-		db.shards[i] = redodb.Open(g.Pool(i+1), redodb.Options{
-			Threads:  opts.Threads,
-			Buffered: opts.Buffered,
-			// The shards never run their own persisters: the group-level
-			// loop (or the caller) seals every shard in turn.
-			PersistEvery: -1,
-		})
+		// Buffered shards are sealed by the group persister (or the
+		// caller), every shard in turn.
+		db.shards[i] = redodb.Open(g.Pool(i+1), redodb.Options{Threads: opts.Threads, Buffered: opts.Buffered})
 	}
 	db.recoverIntent()
 	g.Pool(0).TraceEvent(obs.KindRecoveryEnd, -1, -1, 0, 0, 0)
@@ -139,11 +135,7 @@ func Open(g *pmem.Group, opts Options) *DB {
 		if every == 0 {
 			every = 200 * time.Microsecond
 		}
-		db.buf = &bufferedState{
-			kick: make(chan struct{}, 1),
-			stop: make(chan struct{}),
-			done: make(chan struct{}),
-		}
+		db.buf = &bufferedState{stop: make(chan struct{}), done: make(chan struct{})}
 		go db.persistLoop(every)
 	}
 	return db
@@ -173,13 +165,14 @@ func (db *DB) Session(tid int) *Session {
 	for i, sh := range db.shards {
 		sess[i] = sh.Session(tid)
 	}
-	return &Session{db: db, sess: sess}
+	return &Session{db: db, sess: sess, subs: make([]WriteBatch, len(db.shards))}
 }
 
 // Session is a per-thread handle to the sharded database.
 type Session struct {
 	db   *DB
 	sess []*redodb.Session // one per shard, same thread id
+	subs []WriteBatch      // per-shard sub-batches, reused by split
 }
 
 // shardOf maps a key to its shard. The multiplicative remix decorrelates the

@@ -170,8 +170,9 @@ func TestCrossShardReceiptConflictStillApplies(t *testing.T) {
 	for _, k := range append(keys, onHome) {
 		b.Put([]byte(k), []byte("batch"))
 	}
-	rcpt := &intentReceipt{client: client, seq: seq, digest: batchDigest(b.ops), home: home}
-	s.applySubs(s.split(b.ops), tag, nil, rcpt)
+	rcpt := &intentReceipt{client: client, seq: seq, digest: redodb.BatchDigest(b), home: home}
+	s.split(b)
+	s.applySubs(tag, nil, rcpt)
 	for _, k := range append(keys, onHome) {
 		if v, ok := s.Get([]byte(k)); !ok || string(v) != "batch" {
 			t.Fatalf("key %s = %q,%v: batch torn by the receipt conflict", k, v, ok)
@@ -193,7 +194,7 @@ func TestApplyRejectsOversizedCrossShardBatch(t *testing.T) {
 	b := &WriteBatch{}
 	for i := 0; ; i++ {
 		k := []byte(fmt.Sprintf("key%03d", i))
-		if !b.Fits(k, val) {
+		if !Fits(b, k, val) {
 			break
 		}
 		b.Put(k, val)
